@@ -17,9 +17,10 @@ win.  Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
-from .errors import ConfigError, FormatError, SqgError
+from .errors import ConfigError, FormatError, InvalidSolution, SqgError
 from .fileio import parse_config, read_field_csv, read_field_csv_time, render_contour, write_field_csv
 from .scenario import builtin_scenarios, run_builtin, run_scenario
 from .solutions import builtin_samples, validate
@@ -130,7 +131,12 @@ def _cmd_verify(args) -> int:
             print(f"  - {v.message}")
         return 1
     grid = _parse_grid(args.grid)
-    times = [float(t) for t in args.times.split(",") if t.strip()]
+    try:
+        times = [float(t) for t in args.times.split(",") if t.strip()]
+        if not all(map(math.isfinite, times)):   # a NaN residual would read as a pass
+            raise ValueError("times must be finite")
+    except ValueError as exc:
+        raise ConfigError([("times", f"bad times {args.times!r}: {exc}")]) from exc
     worst = 0.0
     for t in times:
         rep = residual(sol, t, grid)
@@ -226,19 +232,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, FormatError) as exc:
+    except (ConfigError, FormatError, InvalidSolution, FileNotFoundError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except SqgError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (SqgError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

@@ -214,9 +214,8 @@ def parse_config(text: str) -> ScenarioConfig:
         except ValueError:
             syntax.append((lineno, f"snapshots must be comma-separated numbers, got {raw!r}"))
         else:
-            if t_end is not None and snapshot_times and (
-                    snapshot_times[0] < 0.0 or snapshot_times[-1] > t_end):
-                semantic.append((lineno, f"snapshots {raw!r} outside [0, {t_end}]"))
+            if t_end is not None and not all(0.0 <= t <= t_end for t in snapshot_times):
+                semantic.append((lineno, f"snapshots {raw!r} must lie in [0, {t_end}]"))
 
     dealias = True
     if "dealias" in top:
@@ -367,8 +366,8 @@ def read_field_csv(path) -> PhysicalField:
 
     Raises:
         FormatError: Missing/malformed header, a row with the wrong value
-            count, a non-numeric entry, or a truncated file (the message names
-            the offending row).
+            count, a non-numeric or non-finite entry, or a truncated file (the
+            message names the offending row, except for non-finite entries).
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -395,7 +394,10 @@ def read_field_csv(path) -> PhysicalField:
             values[j - 1] = [float(p) for p in parts]
         except ValueError as exc:
             raise FormatError(f"{path}: row {j}: {exc}") from exc
-    return PhysicalField(grid, values)
+    try:
+        return PhysicalField(grid, values)
+    except ValueError as exc:   # a non-finite entry such as "nan" or "inf"
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def read_field_csv_time(path) -> float:

@@ -63,8 +63,8 @@ class SolverParams:
         if self.t_end > 0.0 and self.dt > self.t_end:
             raise DomainError(f"dt = {self.dt} exceeds t_end = {self.t_end}")
         times = tuple(sorted(float(t) for t in self.snapshot_times))
-        if times and (times[0] < 0.0 or times[-1] > self.t_end):
-            raise DomainError(f"snapshot times {times} outside [0, {self.t_end}]")
+        if not all(0.0 <= t <= self.t_end for t in times):   # NaN fails too
+            raise DomainError(f"snapshot times {times} must lie in [0, {self.t_end}]")
         object.__setattr__(self, "snapshot_times", times)
 
 

@@ -27,8 +27,7 @@ from . import verify
 from .errors import ConstraintViolation
 from .fileio import ScenarioConfig, render_contour, write_field_csv
 from .integrator import SolverParams, simulate
-from .solutions import (EigenmodeSolution, UnidirectionalSolution, builtin_samples,
-                        eval_theta, validate)
+from .solutions import UnidirectionalSolution, _waves, builtin_samples, eval_theta, validate
 from .spectral import GridSpec
 
 __all__ = [
@@ -86,14 +85,8 @@ def _fmt_time(t: float) -> str:
 
 def _single_eigenvalue(sol) -> float | None:
     """Squared wavenumber magnitude if the solution decays at a single rate."""
-    if isinstance(sol, EigenmodeSolution):
-        if sol.group_a_active:
-            return float(sol.n**2 + sol.m**2)
-        return float(sol.k**2)
-    rates = {k * k * (sol.n**2 + sol.m**2) for k, a, b in sol.modes if a or b}
-    if len(rates) == 1:
-        return float(rates.pop())
-    return None
+    rates = {p * p + q * q for p, q, _, _ in _waves(sol)}
+    return float(rates.pop()) if len(rates) == 1 else None
 
 
 def _write_report(path, checks) -> None:
@@ -161,11 +154,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             rep = verify.residual(sol, t, config.grid)
             checks.append(CheckResult("residual_linf", name, t, rep.l_inf,
                                       f"<={RESIDUAL_TOL:g}", rep.l_inf <= RESIDUAL_TOL))
-            if single_e is not None and t > 0.0:
+            # A zero or mean-only field has no pattern to correlate.
+            if single_e and t > 0.0:
                 dev = abs(verify.pattern_correlation(field, theta0) - 1.0)
                 checks.append(CheckResult("correlation_dev", name, t, dev,
                                           f"<={CORRELATION_TOL:g}", dev <= CORRELATION_TOL))
-            if isinstance(sol, UnidirectionalSolution):
+            if isinstance(sol, UnidirectionalSolution) and theta0.values.any():
                 off = verify.unidirectionality_check(field, sol.n, sol.m)
                 checks.append(CheckResult("unidirectional_offray", name, t, off,
                                           f"<={UNIDIRECTIONAL_TOL:g}",
@@ -185,7 +179,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                     emit(snap.field, snap.t, prefix=f"{name}_sim")
             checks.append(CheckResult("solver_rel_l2", name, config.t_end, worst,
                                       f"<={SOLVER_TOL:g}", worst <= SOLVER_TOL))
-            if single_e is not None and single_e > 0.0 and len(traj.snapshots) >= 3:
+            if single_e and len(traj.snapshots) >= 3:
                 fit = verify.decay_rate_fit(traj, single_e, config.kappa, config.alpha)
                 checks.append(CheckResult("decay_rate_rel_err", name, config.t_end,
                                           fit.relative_error, f"<={DECAY_TOL:g}",

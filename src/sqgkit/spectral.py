@@ -366,16 +366,12 @@ def velocity_from_theta(s: SpectralField) -> tuple[SpectralField, SpectralField]
     ``i kx û + i ky v̂`` is the all-zero coefficient array, bit for bit (see
     ``_truncate_mantissa``).
     """
-    grid = s.grid
-    KX, KY = grid.wavenumbers()
-    psi = _inv_sqrt_multiplier(grid.n_x, grid.n_y) * s.coefficients
-    psi = _truncate_mantissa(psi, _split_bits(grid))
-    u = SpectralField(grid, 1j * KY * psi)
-    v = SpectralField(grid, -1j * KX * psi)
-    return u, v
+    u, v = _velocity_hats(s.coefficients, s.grid)
+    return SpectralField(s.grid, u), SpectralField(s.grid, v)
 
 
 def _velocity_hats(coef: np.ndarray, grid: GridSpec):
+    """Coefficients of ``(u, v)`` for the given θ coefficients (internal fast path)."""
     KX, KY = grid.wavenumbers()
     psi = _inv_sqrt_multiplier(grid.n_x, grid.n_y) * coef
     psi = _truncate_mantissa(psi, _split_bits(grid))

@@ -24,7 +24,7 @@ import numpy as np
 from . import solutions as _sol
 from .errors import DegenerateFit, DomainError, InvalidSolution, UnderResolved, ZeroField
 from .integrator import SolverParams, Trajectory, simulate
-from .solutions import EigenmodeSolution, UnidirectionalSolution, ValidationReport, validate
+from .solutions import ValidationReport, validate
 from .spectral import (GridSpec, PhysicalField, _frac_laplacian_multiplier, _nonlinear_hat,
                        _to_coefficients, _to_values)
 
@@ -67,18 +67,9 @@ class DecayFit:
 
 def max_mode(sol) -> tuple[int, int]:
     """Largest active integer wavenumber of ``sol`` per axis."""
-    if isinstance(sol, EigenmodeSolution):
-        mx = my = 0
-        if sol.group_a_active:
-            mx, my = abs(sol.n), abs(sol.m)
-        if sol.group_b_active:
-            mx, my = max(mx, abs(sol.k)), max(my, abs(sol.k))
-        return mx, my
-    if isinstance(sol, UnidirectionalSolution):
-        active = [abs(k) for k, a, b in sol.modes if a != 0.0 or b != 0.0]
-        top = max(active, default=0)
-        return top * abs(sol.n), top * abs(sol.m)
-    raise TypeError(f"not a solution type: {type(sol).__name__}")
+    waves = _sol._waves(sol)
+    return (max((abs(p) for p, _, _, _ in waves), default=0),
+            max((abs(q) for _, q, _, _ in waves), default=0))
 
 
 # Validation codes that make pointwise evaluation itself meaningless.  The

@@ -149,6 +149,11 @@ class TestParseConfig:
         with pytest.raises(ConstraintViolation, match=fragment):
             parse_config(MINIMAL + "\n" + line + "\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0.5, nan"])
+    def test_non_finite_snapshots(self, value):
+        with pytest.raises(ConstraintViolation, match="snapshots"):
+            parse_config(MINIMAL + f"\nsnapshots = {value}\n")
+
     def test_unknown_builtin_name(self):
         with pytest.raises(ConstraintViolation, match="theta9"):
             parse_config(MINIMAL.replace("theta1", "theta9"))
@@ -232,6 +237,13 @@ class TestFieldCsv:
         p = tmp_path / "bad.csv"
         p.write_text("# 4,4,0\n0,0,0,0\n0,zero,0,0\n0,0,0,0\n0,0,0,0\n")
         with pytest.raises(FormatError, match="row 2"):
+            read_field_csv(p)
+
+    @pytest.mark.parametrize("entry", ["nan", "-inf", "1e999"])
+    def test_non_finite_entry(self, tmp_path, entry):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"# 4,4,0\n0,0,0,0\n0,{entry},0,0\n0,0,0,0\n0,0,0,0\n")
+        with pytest.raises(FormatError, match="finite"):
             read_field_csv(p)
 
 

@@ -39,6 +39,11 @@ class TestSolverParams:
         with pytest.raises(DomainError):
             SolverParams(**kwargs)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_snapshot_times(self, t):
+        with pytest.raises(DomainError, match="snapshot"):
+            SolverParams(kappa=1.0, alpha=0.5, dt=0.1, t_end=1.0, snapshot_times=(0.5, t))
+
 
 class TestStep:
     def test_eigenmode_decays_at_the_exponential_rate(self, grid64):

@@ -115,6 +115,21 @@ class TestRunScenario:
         assert any(c.check == "solver_rel_l2" for c in result.checks)
 
 
+    @pytest.mark.parametrize("section", [
+        "family = unidirectional\nn = 1\nm = 2\nmodes = 0:1.0:0.0",
+        "family = unidirectional\nn = 1\nm = 2\nmodes = 1:0:0",
+        "family = eigenmode\nn = 2\nm = 1\nk = 3",
+    ], ids=["mean-only", "zero-unidirectional", "zero-eigenmode"])
+    @pytest.mark.parametrize("mode", ["exact", "both"])
+    def test_zero_and_mean_only_solutions_pass(self, tmp_path, section, mode):
+        cfg = parse_config(f"kappa = 0.01\nalpha = 0.5\ngrid = 32\nt_end = 0.5\n"
+                           f"dt = 0.05\nsnapshots = 0.25\nmode = {mode}\n"
+                           f"outputs = report\noutdir = {tmp_path}\n[solution]\n{section}\n")
+        result = run_scenario(cfg)
+        assert result.exit_code == 0
+        assert all(c.status == "pass" for c in result.checks)
+
+
 class TestBuiltinScenarios:
     def test_names(self):
         assert builtin_scenarios() == ("figure1", "constantin-negative")
@@ -182,6 +197,30 @@ class TestCli:
     def test_verify_bad_grid_is_a_usage_error(self, capsys):
         assert main(["verify", "--solution", "theta1", "--grid", "13"]) == 2
         assert "grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("times", ["abc", "0,nan", "inf"])
+    def test_verify_bad_times_is_a_config_error(self, times, capsys):
+        assert main(["verify", "--solution", "theta1", "--times", times]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_eval_invalid_parameter_is_a_config_error(self, tmp_path, capsys):
+        assert main(["eval", "--solution", "theta1", "--kappa", "-1",
+                     "--csv", str(tmp_path / "x.csv")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_render_non_finite_csv_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "nan.csv"
+        csv.write_text("# 4,4,0\n0,0,0,0\n0,nan,0,0\n0,0,0,0\n0,0,0,0\n")
+        assert main(["render", "--input", str(csv), "--output", str(tmp_path / "x.ppm")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_non_finite_snapshots_exit_2(self, tmp_path, capsys):
+        code = main(["simulate", "--solution", "theta1", "--kappa", "0.001",
+                     "--alpha", "0.001", "--grid", "32", "--t-end", "0.5",
+                     "--dt", "0.01", "--snapshots", "nan", "--outputs", "report",
+                     "--outdir", str(tmp_path / "run")])
+        assert code == 2
+        assert "snapshots" in capsys.readouterr().err
 
     def test_simulate_from_flags(self, tmp_path):
         outdir = tmp_path / "run"

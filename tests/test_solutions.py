@@ -138,6 +138,28 @@ class TestThetaValues:
                         factor * eval_theta(sol, 0.0, grid32).values,
                         rtol=1e-13, atol=1e-16)
 
+    def test_eigenmode_matches_the_product_form(self, grid32):
+        # Every coefficient of both groups against the literal c1..c8 formula,
+        # with negative n, m and k among the random draws.
+        rng = np.random.default_rng(31)
+        sols = [EigenmodeSolution(n=4, m=-3, k=-5, kappa=0.3, alpha=0.4,
+                                  c1=0.7, c2=-1.1, c3=0.4, c4=1.3,
+                                  c5=-0.6, c6=0.9, c7=1.7, c8=-0.2)]
+        sols += [random_eigenmode(rng, 0.3, 0.4) for _ in range(12)]
+        x, y = grid32.nodes()
+        t = 1.5
+        for sol in sols:
+            nx, my, kx, ky = sol.n * x, sol.m * y, sol.k * x, sol.k * y
+            decay_a = np.exp(-sol.kappa * float(sol.n**2 + sol.m**2)**sol.alpha * t)
+            decay_b = np.exp(-sol.kappa * float(sol.k**2)**sol.alpha * t)
+            expected = (decay_a * (sol.c1 * np.sin(nx) * np.sin(my)
+                                   + sol.c2 * np.cos(nx) * np.sin(my)
+                                   + sol.c3 * np.sin(nx) * np.cos(my)
+                                   + sol.c4 * np.cos(nx) * np.cos(my))
+                        + decay_b * (sol.c5 * np.sin(kx) + sol.c6 * np.sin(ky)
+                                     + sol.c7 * np.cos(kx) + sol.c8 * np.cos(ky)))
+            assert_allclose(eval_theta(sol, t, grid32).values, expected, atol=1e-13)
+
     def test_pointwise_matches_grid_eval(self, grid32):
         sol = _theta1(kappa=0.1, alpha=0.5)
         x, y = grid32.nodes()
