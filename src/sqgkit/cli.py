@@ -77,10 +77,18 @@ def _parse_grid(text: str) -> GridSpec:
         raise ConfigError([("grid", f"bad grid {text!r}: {exc}")]) from exc
 
 
+def _check_levels(levels: int) -> None:
+    if levels < 2:
+        raise ConfigError([("levels", f"levels must be >= 2, got {levels}")])
+
+
 def _cmd_eval(args) -> int:
     if not args.csv and not args.ppm:
         print("eval: give at least one of --csv/--ppm", file=sys.stderr)
         return 2
+    _check_levels(args.levels)   # before the CSV is written
+    if not math.isfinite(args.time):
+        raise ConfigError([("time", f"time must be finite, got {args.time}")])
     samples = builtin_samples()
     if args.solution not in samples:
         print(f"eval: unknown solution {args.solution!r}; known: "
@@ -150,6 +158,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    _check_levels(args.levels)
     field = read_field_csv(args.input)
     render_contour(field, args.output, levels=args.levels)
     t = read_field_csv_time(args.input)

@@ -20,6 +20,24 @@ with integer wavenumbers ``k_x ∈ {-n_x/2, …, n_x/2 - 1}`` stored in FFT orde
 and the ``1/(n_x n_y)`` normalization carried by the forward transform, so a
 coefficient is directly comparable to a trigonometric amplitude (``sin x``
 has coefficients ``∓i/2`` at ``k_x = ±1``).
+
+Storage layouts
+---------------
+The public :class:`SpectralField` and :meth:`GridSpec.wavenumbers` use the
+full ``(n_y, n_x)`` FFT order.  Internally (the solver, the residual and the
+advection term) a real field is stored as its half spectrum: the leading
+``n_x//2 + 1`` columns of that array, as ``rfft2`` returns them.  The last of
+those columns is the Nyquist column, and it keeps ``k_x = -n_x/2``.  The other
+half is the Hermitian mirror ``c(-k) = conj(c(k))``; it is rebuilt by exact
+mirroring where a full array is returned.  One cached table per grid holds the
+multipliers ``i·kx``, ``i·ky``, ``|k|^-1``, the 2/3 mask and ``|k|²``; an
+operator takes either layout by slicing that table to the columns it is given.
+In the half layout ``i·kx`` and ``i·ky`` are 0 at their Nyquist wavenumbers,
+which is what taking the real part of a full complex transform amounts to.
+
+The solver's blowup guard uses the free bound ``sup|θ| <= Σ|c_k|`` summed over
+the full spectrum (the interior half-spectrum columns count twice) and
+inverts a state only when that bound reaches the limit.
 """
 
 from __future__ import annotations
@@ -27,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,49 +78,62 @@ def _node_mesh(n_x: int, n_y: int):
     return X, Y
 
 
-@lru_cache(maxsize=None)
-def _wavenumber_mesh(n_x: int, n_y: int):
-    kx = np.fft.fftfreq(n_x, 1.0 / n_x)
-    ky = np.fft.fftfreq(n_y, 1.0 / n_y)
-    KX, KY = np.meshgrid(kx, ky)
-    KX.setflags(write=False)
-    KY.setflags(write=False)
-    return KX, KY
+class _Multipliers(NamedTuple):
+    """The Fourier multipliers of one grid, indexed like its coefficient arrays.
+
+    ``kx``, ``ikx`` are rows ``(1, cols)`` and ``ky``, ``iky`` columns
+    ``(n_y, 1)`` that broadcast against a coefficient array; the rest are full
+    ``(n_y, cols)`` arrays.
+    """
+
+    kx: np.ndarray        # integer wavenumbers, FFT order
+    ky: np.ndarray
+    ikx: np.ndarray       # i·kx and i·ky: the derivatives ∂x and ∂y
+    iky: np.ndarray
+    inv_k: np.ndarray     # |k|^-1, with 0 at k = 0: (-Δ)^(-1/2)
+    dealias: np.ndarray   # 2/3 rule: True where |kx| <= n_x/3 and |ky| <= n_y/3
+    k2: np.ndarray        # |k|² = kx² + ky²: -Δ
 
 
 @lru_cache(maxsize=None)
-def _k_squared(n_x: int, n_y: int):
-    KX, KY = _wavenumber_mesh(n_x, n_y)
-    K2 = KX * KX + KY * KY
-    K2.setflags(write=False)
-    return K2
+def _multipliers(n_x: int, n_y: int, cols: int) -> _Multipliers:
+    """The multiplier table for coefficient arrays with ``cols`` leading FFT columns.
 
-
-@lru_cache(maxsize=None)
-def _inv_sqrt_multiplier(n_x: int, n_y: int):
-    K2 = _k_squared(n_x, n_y)
-    mult = np.zeros_like(K2)
-    nz = K2 > 0.0
-    mult[nz] = K2[nz] ** -0.5
-    mult.setflags(write=False)
-    return mult
-
-
-@lru_cache(maxsize=None)
-def _dealias_mask(n_x: int, n_y: int):
-    # 2/3 rule: zero every coefficient with |kx| > n_x/3 or |ky| > n_y/3.
-    KX, KY = _wavenumber_mesh(n_x, n_y)
-    mask = (np.abs(KX) <= n_x / 3.0) & (np.abs(KY) <= n_y / 3.0)
-    mask.setflags(write=False)
-    return mask
+    The table is built once per grid in full FFT order (``cols = n_x``); the
+    half-spectrum table (``cols = n_x//2 + 1``) is views of its leading
+    columns, so its last column keeps ``kx = -n_x/2``.  One exception: in the
+    half spectrum a derivative ``i·k`` is 0 at its own Nyquist wavenumber
+    ``-n/2``.  That mode is its own mirror image, so its odd derivative has
+    no real part; the full complex path drops it when it takes the real part
+    of the inverse transform, and the half spectrum must drop it explicitly.
+    All arrays are read-only.
+    """
+    if cols != n_x:
+        full = _multipliers(n_x, n_y, n_x)
+        half = full._replace(ikx=np.where(full.kx == -n_x / 2, 0j, full.ikx),
+                             iky=np.where(full.ky == -n_y / 2, 0j, full.iky))
+        table = _Multipliers(*(a[:, :cols] for a in half))
+    else:
+        kx = np.fft.fftfreq(n_x, 1.0 / n_x)[None, :]
+        ky = np.fft.fftfreq(n_y, 1.0 / n_y)[:, None]
+        k2 = kx * kx + ky * ky
+        inv_k = np.zeros_like(k2)
+        nz = k2 > 0.0
+        inv_k[nz] = k2[nz] ** -0.5
+        dealias = (np.abs(kx) <= n_x / 3.0) & (np.abs(ky) <= n_y / 3.0)
+        table = _Multipliers(kx, ky, 1j * kx, 1j * ky, inv_k, dealias, k2)
+    for a in table:
+        a.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=32)
 def _frac_laplacian_multiplier(n_x: int, n_y: int, alpha: float):
     # numpy gives 0.0**0.0 == 1.0 and 0.0**alpha == 0.0 for alpha > 0, which is
     # exactly the zero-mode convention: (-Δ)^0 is the identity (mean included),
-    # (-Δ)^α annihilates the mean for α > 0.
-    mult = _k_squared(n_x, n_y) ** alpha
+    # (-Δ)^α annihilates the mean for α > 0.  Full FFT order; slice the leading
+    # columns for the half spectrum.
+    mult = _multipliers(n_x, n_y, n_x).k2 ** alpha
     mult.setflags(write=False)
     return mult
 
@@ -147,7 +179,8 @@ class GridSpec:
 
     def wavenumbers(self):
         """Return read-only integer wavenumber meshes ``(KX, KY)`` in FFT order."""
-        return _wavenumber_mesh(self.n_x, self.n_y)
+        table = _multipliers(self.n_x, self.n_y, self.n_x)
+        return (np.broadcast_to(table.kx, self.shape), np.broadcast_to(table.ky, self.shape))
 
 
 @dataclass(frozen=True)
@@ -249,24 +282,22 @@ def forward_transform(f: PhysicalField) -> SpectralField:
         f: Real field on its grid.
 
     Returns:
-        The spectral representation; ``inverse_transform`` is its exact inverse
-        up to round-off (< 1e-12 per node).
+        The spectral representation in full FFT order: the half spectrum
+        expanded by exact Hermitian mirroring.  ``inverse_transform`` is its
+        exact inverse up to round-off (< 1e-12 per node).
     """
-    coef = np.fft.fft2(f.values) / f.grid.size
-    return SpectralField(f.grid, coef)
+    return SpectralField(f.grid, _full_spectrum(_to_coefficients(f.values, f.grid), f.grid))
 
 
 def inverse_transform(s: SpectralField) -> PhysicalField:
     """Inverse FFT back to real node values.
 
-    The imaginary residue left after inversion is discarded; it is required to
-    be negligible (below ``max(1e-10, 1e-13 * max|Re|)``), which holds for any
-    field whose Hermitian-symmetry defect passes the 1e-8 gate below.
+    Only the half spectrum is read; the other half is its Hermitian mirror,
+    which the symmetry gate below requires up to round-off.
 
     Raises:
         SymmetryViolation: If the Hermitian-symmetry defect exceeds
-            ``1e-8 * max(1, max|c|)``, or the imaginary residue survives
-            symmetrization — both signal a corrupted field.
+            ``1e-8 * max(1, max|c|)``, which signals a corrupted field.
     """
     defect = s.symmetry_defect()
     scale = float(np.max(np.abs(s.coefficients))) if s.grid.size else 0.0
@@ -274,22 +305,37 @@ def inverse_transform(s: SpectralField) -> PhysicalField:
         raise SymmetryViolation(
             f"Hermitian symmetry defect {defect:.3e} exceeds tolerance "
             f"{1e-8 * max(1.0, scale):.3e}")
-    values = np.fft.ifft2(s.coefficients) * s.grid.size
-    real = values.real
-    imag_max = float(np.max(np.abs(values.imag)))
-    if imag_max > max(1e-10, 1e-13 * float(np.max(np.abs(real)))):
-        raise SymmetryViolation(
-            f"imaginary residue {imag_max:.3e} after symmetrization")
-    return PhysicalField(s.grid, real.copy())
+    return PhysicalField(s.grid, _to_values(_half_spectrum(s.coefficients, s.grid), s.grid))
 
 
 def _to_values(coef: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Internal unchecked inverse transform returning a bare real array."""
-    return (np.fft.ifft2(coef) * grid.size).real
+    """Internal unchecked inverse transform of a half spectrum to a bare real array."""
+    return np.fft.irfft2(coef, s=grid.shape, norm="forward")
 
 
 def _to_coefficients(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return np.fft.fft2(values) / grid.size
+    """Internal forward transform of real values to their half spectrum."""
+    return np.fft.rfft2(values, s=grid.shape, norm="forward")
+
+
+def _half_spectrum(coef: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The leading ``n_x//2 + 1`` columns of a full FFT-order coefficient array (a view)."""
+    return coef[:, :grid.n_x // 2 + 1]
+
+
+def _full_spectrum(half: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Expand a half spectrum to full FFT order by exact Hermitian mirroring.
+
+    Column ``kx < 0`` is the conjugate of column ``-kx`` with ``ky`` negated;
+    the kept columns are copied unchanged, so slicing the result with
+    :func:`_half_spectrum` gives ``half`` back bit for bit.
+    """
+    cols = half.shape[-1]
+    full = np.empty(grid.shape, dtype=complex)
+    full[:, :cols] = half
+    mirror = np.roll(half[::-1, cols - 2:0:-1], 1, axis=0)   # rows ky -> -ky
+    np.conjugate(mirror, out=full[:, cols:])
+    return full
 
 
 # --------------------------------------------------------------------------
@@ -323,7 +369,7 @@ def inv_sqrt_laplacian(s: SpectralField) -> SpectralField:
     This is the Riesz stream-function map; the zero mode is sent to 0 so the
     stream function is always mean-free.
     """
-    mult = _inv_sqrt_multiplier(s.grid.n_x, s.grid.n_y)
+    mult = _multipliers(s.grid.n_x, s.grid.n_y, s.grid.n_x).inv_k
     return SpectralField(s.grid, mult * s.coefficients)
 
 
@@ -348,14 +394,10 @@ def _truncate_mantissa(z: np.ndarray, bits: int) -> np.ndarray:
     2^(bits-52) (~1e-14 for grids up to 512²), far inside every tolerance
     used by this package.
     """
-    factor = float(2**bits) + 1.0
-    re = z.real
-    im = z.imag
-    t = factor * re
-    hi_re = t - (t - re)
-    t = factor * im
-    hi_im = t - (t - im)
-    return hi_re + 1j * hi_im
+    x = np.ascontiguousarray(z).view(np.float64)   # real and imaginary parts, interleaved
+    t = (float(2**bits) + 1.0) * x
+    t -= t - x
+    return t.view(complex)
 
 
 def velocity_from_theta(s: SpectralField) -> tuple[SpectralField, SpectralField]:
@@ -364,35 +406,37 @@ def velocity_from_theta(s: SpectralField) -> tuple[SpectralField, SpectralField]
     Derivatives are the diagonal multipliers ``i k_y`` and ``-i k_x``.  The
     returned pair is exactly divergence-free in spectral space:
     ``i kx û + i ky v̂`` is the all-zero coefficient array, bit for bit (see
-    ``_truncate_mantissa``).
+    ``_truncate_mantissa``).  It is computed on the full array: mirroring a
+    half-spectrum velocity would break the exact cancellation on the
+    ``ky = -n_y/2`` row.
     """
     u, v = _velocity_hats(s.coefficients, s.grid)
     return SpectralField(s.grid, u), SpectralField(s.grid, v)
 
 
 def _velocity_hats(coef: np.ndarray, grid: GridSpec):
-    """Coefficients of ``(u, v)`` for the given θ coefficients (internal fast path)."""
-    KX, KY = grid.wavenumbers()
-    psi = _inv_sqrt_multiplier(grid.n_x, grid.n_y) * coef
-    psi = _truncate_mantissa(psi, _split_bits(grid))
-    return 1j * KY * psi, -1j * KX * psi
+    """Coefficients of ``(u, v)`` for the given θ coefficients, in either layout."""
+    table = _multipliers(grid.n_x, grid.n_y, coef.shape[-1])
+    psi = _truncate_mantissa(table.inv_k * coef, _split_bits(grid))
+    v = psi * table.ikx
+    np.negative(v, out=v)
+    return psi * table.iky, v
 
 
 def _nonlinear_hat(coef: np.ndarray, grid: GridSpec, dealias: bool) -> np.ndarray:
-    """Coefficients of u·∇θ for the given θ coefficients (internal fast path)."""
-    KX, KY = grid.wavenumbers()
+    """Half-spectrum coefficients of u·∇θ for the half-spectrum θ coefficients ``coef``."""
+    table = _multipliers(grid.n_x, grid.n_y, coef.shape[-1])
     if dealias:
-        coef = coef * _dealias_mask(grid.n_x, grid.n_y)
+        coef = coef * table.dealias
     u_hat, v_hat = _velocity_hats(coef, grid)
-    tx_hat = 1j * KX * coef
-    ty_hat = 1j * KY * coef
-    u = _to_values(u_hat, grid)
+    adv = _to_values(u_hat, grid)
+    adv *= _to_values(coef * table.ikx, grid)
     v = _to_values(v_hat, grid)
-    tx = _to_values(tx_hat, grid)
-    ty = _to_values(ty_hat, grid)
-    result = _to_coefficients(u * tx + v * ty, grid)
+    v *= _to_values(coef * table.iky, grid)
+    adv += v
+    result = _to_coefficients(adv, grid)
     if dealias:
-        result = result * _dealias_mask(grid.n_x, grid.n_y)
+        result *= table.dealias
     return result
 
 
@@ -409,4 +453,5 @@ def nonlinear_term(s: SpectralField, dealias: bool = True) -> SpectralField:
     result vanishes to round-off — the mechanism behind every quasi-stationary
     solution this package implements.
     """
-    return SpectralField(s.grid, _nonlinear_hat(s.coefficients, s.grid, bool(dealias)))
+    half = _nonlinear_hat(_half_spectrum(s.coefficients, s.grid), s.grid, bool(dealias))
+    return SpectralField(s.grid, _full_spectrum(half, s.grid))

@@ -25,8 +25,8 @@ from . import solutions as _sol
 from .errors import DegenerateFit, DomainError, InvalidSolution, UnderResolved, ZeroField
 from .integrator import SolverParams, Trajectory, simulate
 from .solutions import ValidationReport, validate
-from .spectral import (GridSpec, PhysicalField, _frac_laplacian_multiplier, _nonlinear_hat,
-                       _to_coefficients, _to_values)
+from .spectral import (GridSpec, PhysicalField, _frac_laplacian_multiplier, _full_spectrum,
+                       _half_spectrum, _nonlinear_hat, _to_coefficients, _to_values)
 
 __all__ = [
     "ResidualReport",
@@ -119,7 +119,8 @@ def residual(sol, t: float, grid: GridSpec, kappa: float | None = None,
     dtheta_dt = _sol._dtheta_dt_at(sol, t, X, Y)
     coef = _to_coefficients(theta, grid)
     nonlin_hat = _nonlinear_hat(coef, grid, dealias=True)
-    dissip_hat = sol.kappa * _frac_laplacian_multiplier(grid.n_x, grid.n_y, sol.alpha) * coef
+    frac = _half_spectrum(_frac_laplacian_multiplier(grid.n_x, grid.n_y, sol.alpha), grid)
+    dissip_hat = sol.kappa * frac * coef
     resid = dtheta_dt + _to_values(nonlin_hat + dissip_hat, grid)
     nonlinear_linf = float(np.max(np.abs(_to_values(nonlin_hat, grid))))
     l_inf = float(np.max(np.abs(resid)))
@@ -201,7 +202,8 @@ def unidirectionality_check(f: PhysicalField, n: int, m: int) -> float:
     if n == 0 and m == 0:
         raise DomainError("direction (n, m) must be nonzero")
     grid = f.grid
-    energy = np.abs(_to_coefficients(f.values, grid))**2
+    # Full spectrum: the stored ky = -n_y/2 row is not mirror-symmetric about the ray.
+    energy = np.abs(_full_spectrum(_to_coefficients(f.values, grid), grid))**2
     total = float(energy.sum())
     if total < 1e-300:
         raise ZeroField("unidirectionality check of an (effectively) zero field")

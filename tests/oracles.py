@@ -95,6 +95,33 @@ class TrigPoly:
         )
 
 
+def full_complex_advection(coef, dealias=True):
+    """Coefficients of u . grad theta on the full complex spectrum.
+
+    The reference algorithm: full FFT-order coefficients (1/(n_x n_y)
+    normalization) in, full ``fft2``/``ifft2`` transforms of every factor,
+    the 2/3 rule before the products and on the result, and the same
+    mantissa truncation of the stream function as the package.
+    """
+    n_y, n_x = coef.shape
+    kx, ky = np.meshgrid(np.fft.fftfreq(n_x, 1.0 / n_x), np.fft.fftfreq(n_y, 1.0 / n_y))
+    k2 = kx * kx + ky * ky
+    inv_k = np.where(k2 > 0, k2, 1.0) ** -0.5 * (k2 > 0)
+    mask = (np.abs(kx) <= n_x / 3.0) & (np.abs(ky) <= n_y / 3.0) if dealias else 1.0
+    coef = coef * mask
+    psi = inv_k * coef
+    factor = 2.0 ** max(1, int(np.ceil(np.log2(max(n_x, n_y) // 2)))) + 1.0
+    t_re, t_im = factor * psi.real, factor * psi.imag
+    psi = (t_re - (t_re - psi.real)) + 1j * (t_im - (t_im - psi.imag))
+
+    def values(c):
+        return (np.fft.ifft2(c) * c.size).real
+
+    prod = (values(1j * ky * psi) * values(1j * kx * coef)
+            + values(-1j * kx * psi) * values(1j * ky * coef))
+    return np.fft.fft2(prod) / prod.size * mask
+
+
 # (n, m, k) with n^2 + m^2 = k^2, used when both coefficient groups are live.
 PYTHAGOREAN = (
     (3, 4, 5),

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 from sqgkit.errors import BlowupDetected, DomainError, StabilityWarning
 from sqgkit.integrator import Snapshot, SolverParams, Trajectory, simulate, step
 from sqgkit.solutions import builtin_samples, eval_theta
-from sqgkit.spectral import GridSpec, PhysicalField, forward_transform
+from sqgkit import integrator
+from sqgkit.spectral import GridSpec, PhysicalField, SpectralField, forward_transform
 
 
 def _theta1(kappa, alpha):
@@ -165,3 +166,81 @@ class TestGuards:
             with pytest.raises(BlowupDetected) as exc:
                 simulate(initial, params)
         assert exc.value.t > 0.0
+
+
+class TestBlowupGuard:
+    def test_blowup_time_is_pinned(self, grid64):
+        # The guard inverts only when the bound sup|theta| <= sum|c| trips, and
+        # must raise on the same step as inverting every state: t = 10 here.
+        initial = builtin_samples()["con-1"].initial_field(grid64)
+        params = SolverParams(kappa=0.001, alpha=0.4, dt=5.0, t_end=50.0)
+        with pytest.warns(StabilityWarning):
+            with pytest.raises(BlowupDetected, match="sup norm") as exc:
+                simulate(initial, params)
+        assert exc.value.t == 10.0
+
+    def test_nan_coefficient_is_non_finite(self, grid32):
+        c = forward_transform(builtin_samples()["con-1"].initial_field(grid32)).coefficients
+        c[2, 3] = np.nan
+        params = SolverParams(kappa=0.001, alpha=0.4, dt=0.01, t_end=0.01)
+        with pytest.raises(BlowupDetected, match="non-finite coefficients"):
+            step(SpectralField(grid32, c), params)
+
+    def test_tripped_bound_alone_does_not_raise(self, grid32):
+        # Modes of unrelated phases keep sup|theta| well below sum|c|, so the
+        # bound trips first and only the inverse transform decides.
+        half = np.zeros((32, 17), dtype=complex)
+        half[0, 1:9] = 0.5 * np.exp(2j * np.pi * np.random.default_rng(3).random(8))
+        linf = np.abs(np.fft.irfft2(half, s=grid32.shape, norm="forward")).max()
+        bound = 2 * np.abs(half).sum()
+        assert linf < 0.9 * bound
+        integrator._guard_blowup(half, grid32, 1.0, 1.01 * linf / integrator.BLOWUP_FACTOR)
+        with pytest.raises(BlowupDetected, match="sup norm"):
+            integrator._guard_blowup(half, grid32, 1.0, 0.99 * linf / integrator.BLOWUP_FACTOR)
+
+    def test_field_that_attains_the_bound_raises(self, grid32):
+        # cos x + ... + cos 8x peaks at x = 0 with sup|theta| = 8 = sum|c| over
+        # the full spectrum: each interior column stands for two coefficients.
+        half = np.zeros((32, 17), dtype=complex)
+        half[0, 1:9] = 0.5
+        with pytest.raises(BlowupDetected, match="sup norm"):
+            integrator._guard_blowup(half, grid32, 1.0, 7.9 / integrator.BLOWUP_FACTOR)
+
+
+_FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+              "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
+
+
+class TestTransformBudget:
+    def test_solver_uses_only_real_transforms(self, grid32, monkeypatch):
+        # A silent fallback to full complex transforms would still pass every
+        # accuracy test; count the calls instead.
+        calls = []
+
+        def counter(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in _FFT_NAMES:
+            monkeypatch.setattr(np.fft, name, counter(name, getattr(np.fft, name)))
+        per_step = []
+        original_step = integrator._ifrk4_step
+
+        def counted_step(*args):
+            before = len(calls)
+            out = original_step(*args)
+            per_step.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(integrator, "_ifrk4_step", counted_step)
+        initial = builtin_samples()["con-1"].initial_field(grid32)
+        params = SolverParams(kappa=0.001, alpha=0.4, dt=0.002, t_end=0.01,
+                              snapshot_times=(0.005,))
+        traj = simulate(initial, params)
+        assert set(calls) == {"rfft2", "irfft2"}
+        assert per_step == [20] * 6          # 2 full + 1 short step per segment
+        # One forward transform of the datum, then per snapshot one inverse for
+        # the record and two for the CFL check; the guard adds none.
+        assert len(calls) == 20 * len(per_step) + 1 + 3 * len(traj.snapshots)

@@ -222,6 +222,28 @@ class TestCli:
         assert code == 2
         assert "snapshots" in capsys.readouterr().err
 
+    def test_eval_levels_below_two_is_a_config_error(self, tmp_path, capsys):
+        csv = tmp_path / "x.csv"
+        assert main(["eval", "--solution", "theta1", "--grid", "16", "--levels", "1",
+                     "--csv", str(csv), "--ppm", str(tmp_path / "x.ppm")]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not csv.exists()
+
+    def test_render_levels_below_two_is_a_config_error(self, tmp_path, capsys):
+        csv = tmp_path / "x.csv"
+        assert main(["eval", "--solution", "theta1", "--grid", "16", "--csv", str(csv)]) == 0
+        capsys.readouterr()
+        assert main(["render", "--input", str(csv), "--output", str(tmp_path / "x.ppm"),
+                     "--levels", "1"]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_eval_non_finite_time_is_a_config_error(self, t, tmp_path, capsys):
+        csv = tmp_path / "x.csv"
+        assert main(["eval", "--solution", "theta1", f"--time={t}", "--csv", str(csv)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not csv.exists()
+
     def test_simulate_from_flags(self, tmp_path):
         outdir = tmp_path / "run"
         code = main(["simulate", "--solution", "theta1", "--kappa", "0.001",

@@ -15,9 +15,11 @@ from sqgkit.spectral import (
     inverse_transform,
     nonlinear_term,
     velocity_from_theta,
+    _full_spectrum,
+    _half_spectrum,
 )
 
-from oracles import TrigPoly
+from oracles import TrigPoly, full_complex_advection
 
 
 class TestGridSpec:
@@ -275,3 +277,30 @@ class TestNonlinearTerm:
     def test_zero_field_maps_to_zero(self, grid32):
         out = nonlinear_term(SpectralField.zeros(grid32))
         assert np.abs(out.coefficients).max() == 0.0
+
+
+class TestHalfSpectrumCore:
+    @pytest.mark.parametrize("nx,ny", [(32, 32), (64, 64), (48, 32)])
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_nonlinear_term_matches_full_complex_reference(self, nx, ny, dealias):
+        g = GridSpec(nx, ny)
+        rng = np.random.default_rng(nx + ny)
+        theta = forward_transform(PhysicalField(g, rng.standard_normal(g.shape)))
+        ref = full_complex_advection(theta.coefficients, dealias=dealias)
+        out = nonlinear_term(theta, dealias=dealias).coefficients
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("nx,ny", [(4, 4), (32, 32), (48, 32), (16, 64)])
+    def test_hermitian_expansion_rebuilds_the_full_array_bit_for_bit(self, nx, ny):
+        g = GridSpec(nx, ny)
+        rng = np.random.default_rng(5)
+        full = forward_transform(PhysicalField(g, rng.standard_normal(g.shape))).coefficients
+        rebuilt = _full_spectrum(_half_spectrum(full, g), g)
+        assert rebuilt.shape == full.shape
+        assert np.array_equal(rebuilt.view(np.uint64), full.view(np.uint64))
+
+    def test_hermitian_expansion_agrees_with_the_complex_fft(self):
+        g = GridSpec(48, 32)
+        values = np.random.default_rng(6).standard_normal(g.shape)
+        full = forward_transform(PhysicalField(g, values)).coefficients
+        assert_allclose(full, np.fft.fft2(values) / g.size, rtol=0, atol=1e-15)

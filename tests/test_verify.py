@@ -15,6 +15,8 @@ from sqgkit.integrator import SolverParams, simulate
 from sqgkit.solutions import (
     EigenmodeSolution,
     UnidirectionalSolution,
+    _dtheta_dt_at,
+    _theta_at,
     builtin_samples,
     eval_theta,
 )
@@ -28,7 +30,7 @@ from sqgkit.verify import (
     unidirectionality_check,
 )
 
-from oracles import random_eigenmode, random_unidirectional
+from oracles import full_complex_advection, random_eigenmode, random_unidirectional
 
 
 class TestResidual:
@@ -205,3 +207,34 @@ class TestSolverVsExact:
         params = SolverParams(kappa=0.001, alpha=0.4, dt=0.01, t_end=0.1)
         with pytest.raises(InvalidSolution):
             solver_vs_exact(candidate, params, grid64)
+
+
+def _full_complex_residual(sol, t, grid):
+    """(l_inf, l2, nonlinear_linf) of the residual assembled on full complex spectra."""
+    x, y = grid.nodes()
+    coef = np.fft.fft2(_theta_at(sol, t, x, y)) / grid.size
+    nonlin = full_complex_advection(coef)
+    kx, ky = grid.wavenumbers()
+    dissip = sol.kappa * (kx * kx + ky * ky) ** sol.alpha * coef
+    resid = _dtheta_dt_at(sol, t, x, y) + (np.fft.ifft2(nonlin + dissip) * grid.size).real
+    return (np.abs(resid).max(), np.sqrt(np.sum(resid**2) * grid.cell_area),
+            np.abs(np.fft.ifft2(nonlin) * grid.size).max())
+
+
+class TestHalfSpectrumDiagnostics:
+    @pytest.mark.parametrize("name", ["theta1", "theta2", "theta3", "con-1"])
+    def test_residual_matches_the_full_complex_assembly(self, name, grid64):
+        sol = builtin_samples()[name].solution(0.3, 0.6)
+        rep = residual(sol, 0.7, grid64)
+        ref = _full_complex_residual(sol, 0.7, grid64)
+        got = (rep.l_inf, rep.l2, rep.nonlinear_linf)
+        assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 0), (2, -1), (0, 3)])
+    def test_unidirectionality_matches_the_full_spectrum_fraction(self, n, m):
+        g = GridSpec(48, 32)
+        f = PhysicalField(g, np.random.default_rng(8).standard_normal(g.shape))
+        energy = np.abs(np.fft.fft2(f.values) / g.size) ** 2
+        kx, ky = g.wavenumbers()
+        expected = energy[kx * m - ky * n != 0].sum() / energy.sum()
+        assert unidirectionality_check(f, n, m) == pytest.approx(expected, rel=1e-13)
