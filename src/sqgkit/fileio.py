@@ -355,10 +355,13 @@ def write_field_csv(f: PhysicalField, path, t: float = 0.0) -> None:
     Values are printed with 17 significant digits, which round-trips IEEE
     doubles exactly.
     """
+    line = ",".join(["%.17g"] * f.grid.n_x) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {f.grid.n_x},{f.grid.n_y},{t:.17g}\n")
         for row in f.values:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            # Row by row: tolist() of the whole array would hold every value
+            # as a Python float at once.
+            fh.write(line % tuple(row.tolist()))
 
 
 def read_field_csv(path) -> PhysicalField:
@@ -370,30 +373,48 @@ def read_field_csv(path) -> PhysicalField:
             message names the offending row, except for non-finite entries).
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].lstrip().startswith("#"):
-        raise FormatError(f"{path}: missing '# nx,ny,t' header")
-    header = lines[0].lstrip()[1:].split(",")
-    if len(header) != 3:
-        raise FormatError(f"{path}: header must be '# nx,ny,t', got {lines[0]!r}")
-    try:
-        n_x, n_y = int(header[0]), int(header[1])
-        float(header[2])
-        grid = GridSpec(n_x, n_y)
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad header: {exc}") from exc
-    rows = [ln for ln in lines[1:] if ln.strip()]
-    if len(rows) != n_y:
-        raise FormatError(f"{path}: expected {n_y} data rows, found {len(rows)}")
-    values = np.empty((n_y, n_x))
-    for j, row in enumerate(rows, start=1):
-        parts = row.split(",")
-        if len(parts) != n_x:
-            raise FormatError(f"{path}: row {j} has {len(parts)} values, expected {n_x}")
+        # The same lines as fh.read().splitlines(), one at a time.
+        lines = (piece for line in fh for piece in line.splitlines())
+        first = next(lines, None)
+        if first is None or not first.lstrip().startswith("#"):
+            raise FormatError(f"{path}: missing '# nx,ny,t' header")
+        header = first.lstrip()[1:].split(",")
+        if len(header) != 3:
+            raise FormatError(f"{path}: header must be '# nx,ny,t', got {first!r}")
         try:
-            values[j - 1] = [float(p) for p in parts]
+            n_x, n_y = int(header[0]), int(header[1])
+            float(header[2])
+            grid = GridSpec(n_x, n_y)
         except ValueError as exc:
-            raise FormatError(f"{path}: row {j}: {exc}") from exc
+            raise FormatError(f"{path}: bad header: {exc}") from exc
+        # A wrong row count is reported before a bad row, so the first bad row
+        # is held until every row is counted.  Rows are kept one array each:
+        # nothing the size of the header's grid is allocated before the count
+        # has confirmed it.
+        rows: list[np.ndarray] = []
+        count = 0
+        bad_row = None
+        for ln in lines:
+            if not ln.strip():
+                continue
+            count += 1
+            if bad_row is not None or count > n_y:
+                continue
+            parts = ln.split(",")
+            if len(parts) != n_x:
+                bad_row = (f"row {count} has {len(parts)} values, expected {n_x}", None)
+                continue
+            try:
+                rows.append(np.array([float(p) for p in parts]))
+            except ValueError as exc:
+                bad_row = (f"row {count}: {exc}", exc)
+    if count != n_y:
+        raise FormatError(f"{path}: expected {n_y} data rows, found {count}")
+    if bad_row is not None:
+        message, cause = bad_row
+        raise FormatError(f"{path}: {message}") from cause
+    values = np.vstack(rows)
+    del rows   # before PhysicalField copies ``values``
     try:
         return PhysicalField(grid, values)
     except ValueError as exc:   # a non-finite entry such as "nan" or "inf"
@@ -456,8 +477,13 @@ def render_contour(f: PhysicalField, path, levels: int = 21) -> None:
     if levels < 2:
         raise ValueError(f"levels must be >= 2, got {levels}")
     vmax = float(np.max(np.abs(f.values)))
-    normalized = f.values / vmax if vmax > 0.0 else np.zeros_like(f.values)
-    bands = np.floor((normalized + 1.0) * 0.5 * levels).astype(int)
+    scaled = f.values / vmax if vmax > 0.0 else np.zeros_like(f.values)
+    # (scaled + 1.0) * 0.5 * levels, rounded step by step as written, in place
+    scaled += 1.0
+    scaled *= 0.5
+    scaled *= levels
+    bands = np.floor(scaled, out=scaled).astype(int)
+    del scaled
     np.clip(bands, 0, levels - 1, out=bands)
     pixels = _colormap_lut(levels)[bands]
     with open(path, "wb") as fh:

@@ -31,6 +31,16 @@ product-to-sum identities), and θ, the velocity (through
 ``(-Δ)^(-1/2) wave = wave / |k|``) and ``∂θ/∂t = -Σ κ |k|^(2α) wave`` are each
 written once over that list, so every claim about these solutions can be
 checked against the discrete operators to round-off.
+
+On a fixed grid the waves that share a decay rate ``rate = κ |k|^(2α)`` keep
+one spatial pattern, so
+
+    θ(t) = Σ_rate e^(-rate t) P_rate,    ∂θ/∂t = -Σ_rate rate e^(-rate t) P_rate,
+
+with ``P_rate`` the sum of that rate's waves at ``t = 0``.  The grid
+evaluators and the residual build the ``P_rate`` once per (solution, grid)
+and only rescale them at each new time; the arbitrary-point evaluators sum
+the waves directly.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import InvalidSolution
-from .spectral import GridSpec, PhysicalField
+from .spectral import GridSpec, PhysicalField, _node_mesh
 
 __all__ = [
     "EigenmodeSolution",
@@ -233,29 +243,54 @@ def _waves(sol: Solution) -> list[tuple[int, int, float, float]]:
     raise TypeError(f"not a solution type: {type(sol).__name__}")
 
 
-def _decayed_waves(sol: Solution, t: float, x, y):
-    """Yield ``(p, q, rate, a, b, phase)`` per wave, amplitudes decayed to ``t``.
+def _rate(sol: Solution, p: int, q: int) -> float:
+    """Decay rate ``κ E^α`` of the wave ``(p, q)``, ``E = p² + q²``.
 
-    ``rate = κ E^α`` with ``E = p² + q²``; ``0.0**0.0 == 1`` keeps the mean
-    decaying as ``e^(-κt)`` for ``α = 0`` and constant for ``α > 0``.
+    ``0.0**0.0 == 1`` keeps the mean decaying as ``e^(-κt)`` for ``α = 0`` and
+    constant for ``α > 0``.
     """
+    return sol.kappa * float(p * p + q * q)**sol.alpha
+
+
+def _decayed_waves(sol: Solution, t: float, x, y):
+    """Yield ``(p, q, rate, a, b, phase)`` per wave, amplitudes decayed to ``t``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     for p, q, a, b in _waves(sol):
-        rate = sol.kappa * float(p * p + q * q)**sol.alpha
+        rate = _rate(sol, p, q)
         decay = math.exp(-rate * t)
         yield p, q, rate, decay * a, decay * b, p * x + q * y
 
 
-# The sums below rebind (out = out + ...) rather than add in place: on 512²
-# grids the in-place form left the process's peak RSS about 4 MB higher, an
-# effect of where the allocator places the temporaries.
+def _wave_sum(waves, x, y) -> np.ndarray:
+    """``Σ a cos(px + qy) + b sin(px + qy)`` over ``waves``, added in list order.
+
+    Each wave is built in place in two work arrays, so the sum holds three
+    arrays of the broadcast shape of ``x`` and ``y`` however many waves it has.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(np.broadcast(x, y).shape)
+    phase = np.empty_like(out)
+    trig = np.empty_like(out)
+    for p, q, a, b in waves:
+        np.multiply(p, x, out=phase)
+        phase += np.multiply(q, y, out=trig)
+        np.cos(phase, out=trig)
+        trig *= a
+        np.sin(phase, out=phase)
+        phase *= b
+        trig += phase
+        out += trig
+    return out
+
 
 def _theta_at(sol: Solution, t: float, x, y):
-    out = np.zeros(np.broadcast(x, y).shape)
-    for _, _, _, a, b, phase in _decayed_waves(sol, t, x, y):
-        out = out + (a * np.cos(phase) + b * np.sin(phase))
-    return out
+    decayed = []
+    for p, q, a, b in _waves(sol):
+        decay = math.exp(-_rate(sol, p, q) * t)
+        decayed.append((p, q, decay * a, decay * b))
+    return _wave_sum(decayed, x, y)[()]   # a NumPy scalar at a single point
 
 
 def _velocity_at(sol: Solution, t: float, x, y):
@@ -301,6 +336,52 @@ def dtheta_dt_at(sol: Solution, t: float, x, y):
 # grid evaluation (the primary path)
 # --------------------------------------------------------------------------
 
+# The pattern table of the last (solution, n_x, n_y) only.  It is emptied
+# before the next table is built, so two tables never coexist.  functools'
+# lru_cache(maxsize=1) keeps the old entry until the new one is stored; with
+# it, a run of 512² evaluations of changing solutions peaked about 2 MB
+# higher in RSS.
+_PATTERNS: dict = {}
+
+
+def _grid_patterns(sol: Solution, n_x: int, n_y: int) -> tuple:
+    """``(rate, pattern)`` per distinct decay rate of ``sol`` on an ``n_x × n_y`` grid.
+
+    Each pattern is the sum of that rate's waves at ``t = 0`` at the grid
+    nodes, added in ``_waves`` order, and is read-only.  The table of the
+    last (solution, grid) pair is kept, so a run of evaluations at new times
+    costs no trigonometry after the first.
+    """
+    key = (sol, n_x, n_y)
+    table = _PATTERNS.get(key)
+    if table is None:
+        _PATTERNS.clear()
+        groups: dict[float, list] = {}
+        for p, q, a, b in _waves(sol):
+            groups.setdefault(_rate(sol, p, q), []).append((p, q, a, b))
+        X, Y = _node_mesh(n_x, n_y)
+        table = []
+        for rate, waves in groups.items():
+            pattern = _wave_sum(waves, X, Y)
+            pattern.setflags(write=False)
+            table.append((rate, pattern))
+        table = _PATTERNS[key] = tuple(table)
+    return table
+
+
+def _on_grid(sol: Solution, t: float, grid: GridSpec, d_dt: bool = False) -> np.ndarray:
+    """θ(·, t), or ∂θ/∂t with ``d_dt``, at the nodes: ``Σ w(rate) · pattern``.
+
+    ``w = e^(-rate t)`` for θ and ``-rate e^(-rate t)`` for ∂θ/∂t.  No
+    validation: the residual evaluates constraint-breaking candidates too.
+    """
+    out = np.zeros(grid.shape)
+    for rate, pattern in _grid_patterns(sol, grid.n_x, grid.n_y):
+        weight = math.exp(-rate * t)
+        out += (-rate * weight if d_dt else weight) * pattern
+    return out
+
+
 def eval_theta(sol: Solution, t: float, grid: GridSpec) -> PhysicalField:
     """Evaluate θ(·, t) at the grid nodes.
 
@@ -311,8 +392,7 @@ def eval_theta(sol: Solution, t: float, grid: GridSpec) -> PhysicalField:
         InvalidSolution: If :func:`validate` reports any violation.
     """
     _require_valid(sol)
-    X, Y = grid.nodes()
-    return PhysicalField(grid, _theta_at(sol, t, X, Y))
+    return PhysicalField(grid, _on_grid(sol, t, grid))
 
 
 def eval_velocity(sol: Solution, t: float, grid: GridSpec) -> tuple[PhysicalField, PhysicalField]:
@@ -339,8 +419,7 @@ def eval_dtheta_dt(sol: Solution, t: float, grid: GridSpec) -> PhysicalField:
         InvalidSolution: If validation fails.
     """
     _require_valid(sol)
-    X, Y = grid.nodes()
-    return PhysicalField(grid, _dtheta_dt_at(sol, t, X, Y))
+    return PhysicalField(grid, _on_grid(sol, t, grid, d_dt=True))
 
 
 # --------------------------------------------------------------------------

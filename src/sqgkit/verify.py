@@ -114,9 +114,8 @@ def residual(sol, t: float, grid: GridSpec, kappa: float | None = None,
             f"({grid.n_x // 4}, {grid.n_y // 4}) with 2x margin; "
             f"solution needs ({mx}, {my})")
 
-    X, Y = grid.nodes()
-    theta = _sol._theta_at(sol, t, X, Y)
-    dtheta_dt = _sol._dtheta_dt_at(sol, t, X, Y)
+    theta = _sol._on_grid(sol, t, grid)
+    dtheta_dt = _sol._on_grid(sol, t, grid, d_dt=True)
     coef = _to_coefficients(theta, grid)
     nonlin_hat = _nonlinear_hat(coef, grid, dealias=True)
     frac = _half_spectrum(_frac_laplacian_multiplier(grid.n_x, grid.n_y, sol.alpha), grid)

@@ -247,6 +247,49 @@ class TestFieldCsv:
             read_field_csv(p)
 
 
+    def test_rows_are_format_17g_text(self, tmp_path):
+        # Signed zero, subnormals, the extremes and integral values print as
+        # format(v, ".17g") does, one comma-separated row per grid row.
+        g = GridSpec(4, 4)
+        values = np.array([[-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308],
+                           [0.0, 3.0, -2.0, 1e16],
+                           [-1e308, 2.2250738585072014e-308, 0.1, -7.0],
+                           [1.0 / 3.0, 123456789.0, -5e-324, 2.0**53]])
+        path = tmp_path / "pin.csv"
+        write_field_csv(PhysicalField(g, values), path, t=0.5)
+        expected = "# 4,4,0.5\n" + "".join(
+            ",".join(format(v, ".17g") for v in row) + "\n" for row in values.tolist())
+        assert path.read_text() == expected
+        assert expected.splitlines()[1] == "-0,4.9406564584124654e-324,7.4169128616906696e-309,1e+308"
+        assert np.array_equal(read_field_csv(path).values.view(np.uint64), values.view(np.uint64))
+
+    def test_row_count_is_reported_before_a_bad_row(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("# 4,4,0\n0,0,0,0\n0,zero,0\n0,0,0,0\n")
+        with pytest.raises(FormatError, match="expected 4 data rows, found 3"):
+            read_field_csv(p)
+
+    def test_first_bad_row_is_reported(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("# 4,4,0\n0,0,0,0\n0,zero,0,0\n0,0,0\n0,0,0,0\n")
+        with pytest.raises(FormatError, match="row 2: could not convert") as exc:
+            read_field_csv(p)
+        assert isinstance(exc.value.__cause__, ValueError)
+
+    def test_header_grid_is_not_allocated_before_the_row_count(self, tmp_path):
+        # A header naming a huge grid over two rows fails on the row count.
+        p = tmp_path / "bad.csv"
+        p.write_text("# 100000,100000,0\n0,0\n0,0\n")
+        with pytest.raises(FormatError, match="expected 100000 data rows, found 2"):
+            read_field_csv(p)
+
+    def test_crlf_and_blank_lines(self, tmp_path):
+        p = tmp_path / "crlf.csv"
+        p.write_bytes(b"# 4,4,0\r\n\r\n1,2,3,4\r\n  \r\n5,6,7,8\r\n"
+                      b"9,10,11,12\r\n13,14,15,16\r\n\r\n")
+        assert np.array_equal(read_field_csv(p).values, np.arange(1.0, 17.0).reshape(4, 4))
+
+
 class TestRenderContour:
     def _render_bytes(self, f, path, levels=21):
         render_contour(f, path, levels=levels)

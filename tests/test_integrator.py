@@ -1,5 +1,7 @@
 """Tests for the exponential integrator and its guards."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -206,6 +208,37 @@ class TestBlowupGuard:
         with pytest.raises(BlowupDetected, match="sup norm"):
             integrator._guard_blowup(half, grid32, 1.0, 7.9 / integrator.BLOWUP_FACTOR)
 
+    def test_public_step_raises_exactly_when_the_exact_guard_does(self, grid32):
+        # step tests the bound against max|c0| <= sup|theta0| first and
+        # inverts its input only when that trips; the verdict must be the
+        # guard's verdict with the exact sup norm of the input.
+        base = builtin_samples()["con-1"].initial_field(grid32).values
+        outcomes = set()
+        for amplitude in (1.0, 10.0, 30.0, 100.0):
+            for dt in (0.5, 1.0, 5.0):
+                state = forward_transform(PhysicalField(grid32, amplitude * base))
+                params = SolverParams(kappa=0.001, alpha=0.4, dt=dt, t_end=dt)
+                c0 = integrator._half_spectrum(state.coefficients, grid32)
+                sym = integrator._symbol(grid32, params.kappa, params.alpha)
+                half_e = np.exp(-0.5 * dt * sym)
+                c = integrator._ifrk4_step(c0, dt, half_e, half_e * half_e, grid32, True)
+                linf0 = np.abs(integrator._to_values(c0, grid32)).max()
+                try:
+                    integrator._guard_blowup(c, grid32, dt, linf0)
+                    expected = None
+                except BlowupDetected as exc:
+                    expected = str(exc)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", StabilityWarning)
+                    try:
+                        step(state, params)
+                        got = None
+                    except BlowupDetected as exc:
+                        got = str(exc)
+                assert got == expected, (amplitude, dt)
+                outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
 
 _FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
               "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
@@ -244,3 +277,22 @@ class TestTransformBudget:
         # One forward transform of the datum, then per snapshot one inverse for
         # the record and two for the CFL check; the guard adds none.
         assert len(calls) == 20 * len(per_step) + 1 + 3 * len(traj.snapshots)
+
+    def test_public_step_uses_only_the_stage_transforms(self, grid32, monkeypatch):
+        # The guard's floor max|c0| <= sup|theta0| spares the inverse transform
+        # of the input, so a public step costs what a step inside simulate does.
+        calls = []
+
+        def counter(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return counted
+
+        state = forward_transform(builtin_samples()["con-1"].initial_field(grid32))
+        params = SolverParams(kappa=0.001, alpha=0.4, dt=0.002, t_end=0.002)
+        for name in _FFT_NAMES:
+            monkeypatch.setattr(np.fft, name, counter(name, getattr(np.fft, name)))
+        step(state, params)
+        assert set(calls) == {"rfft2", "irfft2"}
+        assert len(calls) == 20

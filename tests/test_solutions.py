@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sqgkit.errors import InvalidSolution
+from sqgkit import solutions
 from sqgkit.solutions import (
     EigenmodeSolution,
     UnidirectionalSolution,
@@ -17,6 +18,7 @@ from sqgkit.solutions import (
     validate,
     with_parameters,
 )
+from sqgkit.verify import residual
 from sqgkit.spectral import GridSpec, forward_transform, inverse_transform, velocity_from_theta
 
 from oracles import random_eigenmode, random_unidirectional
@@ -226,6 +228,80 @@ class TestTimeDerivative:
         a = eval_dtheta_dt(_theta1(kappa=0.2, alpha=0.5), 0.0, grid32).values
         b = eval_dtheta_dt(_theta1(kappa=0.4, alpha=0.5), 0.0, grid32).values
         assert_allclose(b, 2 * a, rtol=1e-15)
+
+
+def _distinct_rates(sol):
+    """``sol`` with every unidirectional mode whose |k| repeats an earlier one dropped."""
+    seen = set()
+    modes = []
+    for k, a, b in sol.modes:
+        if abs(k) not in seen:
+            seen.add(abs(k))
+            modes.append((k, a, b))
+    return UnidirectionalSolution(n=sol.n, m=sol.m, kappa=sol.kappa, alpha=sol.alpha,
+                                  modes=tuple(modes))
+
+
+class TestGridPatterns:
+    """The grid evaluators sum one cached pattern per decay rate."""
+
+    def test_t0_is_bitwise_the_point_sum(self, grid64):
+        # With each rate's waves contiguous and only the first rate holding
+        # more than one wave, the pattern sum adds the waves in the same order.
+        rng = np.random.default_rng(2024)
+        x, y = grid64.nodes()
+        sols = [random_eigenmode(rng, 0.01, 0.4) for _ in range(10)]
+        sols += [_distinct_rates(random_unidirectional(rng, 0.01, 0.4)) for _ in range(10)]
+        for sol in sols:
+            grid_values = eval_theta(sol, 0.0, grid64).values
+            point_values = solutions._theta_at(sol, 0.0, x, y)
+            assert np.array_equal(grid_values.view(np.uint64), point_values.view(np.uint64))
+
+    def test_non_adjacent_opposite_modes_agree_to_round_off(self, grid64):
+        # k = 1 and k = -1 share a decay rate but are not neighbours in the
+        # wave list, so their pattern adds the waves in another order.
+        sol = UnidirectionalSolution(n=1, m=2, kappa=0.05, alpha=0.6,
+                                     modes=((1, 0.7, -1.2), (2, 0.4, 0.9), (-1, -0.3, 1.6)))
+        assert len(solutions._grid_patterns(sol, 64, 64)) == 2
+        x, y = grid64.nodes()
+        for t in (0.0, 0.9, 7.0):
+            theta = solutions._theta_at(sol, t, x, y)
+            dtheta = solutions._dtheta_dt_at(sol, t, x, y)
+            assert np.abs(eval_theta(sol, t, grid64).values - theta).max() \
+                <= 1e-15 * np.abs(theta).max()
+            assert np.abs(eval_dtheta_dt(sol, t, grid64).values - dtheta).max() \
+                <= 1e-15 * np.abs(dtheta).max()
+
+    def test_patterns_are_read_only(self, grid32):
+        sol = builtin_samples()["theta3"].solution(0.01, 0.5)
+        table = solutions._grid_patterns(sol, 32, 32)
+        assert [rate for rate, _ in table] == [0.01 * 2.0**0.5, 0.01 * 8.0**0.5]
+        for _, pattern in table:
+            assert not pattern.flags.writeable
+            with pytest.raises(ValueError):
+                pattern[0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", ["theta2", "theta3"])
+    def test_new_time_costs_no_trigonometry(self, name, grid64, monkeypatch):
+        sol = builtin_samples()[name].solution(0.01, 0.5)
+        eval_theta(sol, 0.0, grid64)
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "cos", counted(np.cos))
+        monkeypatch.setattr(np, "sin", counted(np.sin))
+        eval_theta(sol, 1.5, grid64)
+        eval_dtheta_dt(sol, 2.5, grid64)
+        assert residual(sol, 3.5, grid64).l_inf < 1e-12
+        assert calls == []
+        # The counters do count: a solution not in the table is built with them.
+        eval_theta(with_parameters(sol, kappa=0.02), 1.5, grid64)
+        assert calls
 
 
 class TestBuiltinSamples:
