@@ -105,7 +105,7 @@ class Trajectory:
 
 def _symbol(grid: GridSpec, kappa: float, alpha: float) -> np.ndarray:
     """Dissipation symbol κ (kx² + ky²)^α (κ itself at k = 0 when α = 0), half spectrum."""
-    return kappa * _half_spectrum(_frac_laplacian_multiplier(grid.n_x, grid.n_y, alpha), grid)
+    return kappa * _frac_laplacian_multiplier(grid.n_x, grid.n_y, alpha)
 
 
 def _ifrk4_step(c: np.ndarray, h: float, half_e: np.ndarray, full_e: np.ndarray,

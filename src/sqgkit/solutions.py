@@ -336,12 +336,33 @@ def dtheta_dt_at(sol: Solution, t: float, x, y):
 # grid evaluation (the primary path)
 # --------------------------------------------------------------------------
 
-# The pattern table of the last (solution, n_x, n_y) only.  It is emptied
-# before the next table is built, so two tables never coexist.  functools'
-# lru_cache(maxsize=1) keeps the old entry until the new one is stored; with
-# it, a run of 512² evaluations of changing solutions peaked about 2 MB
-# higher in RSS.
-_PATTERNS: dict = {}
+# The grid data of the last (solution, n_x, n_y) only: its pattern table
+# under "patterns", and what other modules derive from the patterns (the
+# residual terms of ``verify``).  It is emptied before the next table is
+# built, so two tables never coexist and derived data never outlives its
+# patterns.  functools' lru_cache(maxsize=1) keeps the old entry until the new
+# one is stored; with it, a run of 512² evaluations of changing solutions
+# peaked about 2 MB higher in RSS.
+_GRID_DATA: dict = {}
+
+
+def _grid_data(sol: Solution, n_x: int, n_y: int) -> dict:
+    """The cache entry of ``sol`` on an ``n_x × n_y`` grid (see ``_grid_patterns``)."""
+    key = (sol, n_x, n_y)
+    entry = _GRID_DATA.get(key)
+    if entry is None:
+        _GRID_DATA.clear()
+        groups: dict[float, list] = {}
+        for p, q, a, b in _waves(sol):
+            groups.setdefault(_rate(sol, p, q), []).append((p, q, a, b))
+        X, Y = _node_mesh(n_x, n_y)
+        table = []
+        for rate, waves in groups.items():
+            pattern = _wave_sum(waves, X, Y)
+            pattern.setflags(write=False)
+            table.append((rate, pattern))
+        entry = _GRID_DATA[key] = {"patterns": tuple(table)}
+    return entry
 
 
 def _grid_patterns(sol: Solution, n_x: int, n_y: int) -> tuple:
@@ -352,21 +373,7 @@ def _grid_patterns(sol: Solution, n_x: int, n_y: int) -> tuple:
     last (solution, grid) pair is kept, so a run of evaluations at new times
     costs no trigonometry after the first.
     """
-    key = (sol, n_x, n_y)
-    table = _PATTERNS.get(key)
-    if table is None:
-        _PATTERNS.clear()
-        groups: dict[float, list] = {}
-        for p, q, a, b in _waves(sol):
-            groups.setdefault(_rate(sol, p, q), []).append((p, q, a, b))
-        X, Y = _node_mesh(n_x, n_y)
-        table = []
-        for rate, waves in groups.items():
-            pattern = _wave_sum(waves, X, Y)
-            pattern.setflags(write=False)
-            table.append((rate, pattern))
-        table = _PATTERNS[key] = tuple(table)
-    return table
+    return _grid_data(sol, n_x, n_y)["patterns"]
 
 
 def _on_grid(sol: Solution, t: float, grid: GridSpec, d_dt: bool = False) -> np.ndarray:

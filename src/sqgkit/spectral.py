@@ -131,9 +131,9 @@ def _multipliers(n_x: int, n_y: int, cols: int) -> _Multipliers:
 def _frac_laplacian_multiplier(n_x: int, n_y: int, alpha: float):
     # numpy gives 0.0**0.0 == 1.0 and 0.0**alpha == 0.0 for alpha > 0, which is
     # exactly the zero-mode convention: (-Δ)^0 is the identity (mean included),
-    # (-Δ)^α annihilates the mean for α > 0.  Full FFT order; slice the leading
-    # columns for the half spectrum.
-    mult = _multipliers(n_x, n_y, n_x).k2 ** alpha
+    # (-Δ)^α annihilates the mean for α > 0.  Half spectrum only: the solver
+    # and the residual are its only readers.
+    mult = _multipliers(n_x, n_y, n_x // 2 + 1).k2 ** alpha
     mult.setflags(write=False)
     return mult
 
@@ -359,7 +359,7 @@ def fractional_laplacian(s: SpectralField, alpha: float) -> SpectralField:
     alpha = float(alpha)
     if not (0.0 <= alpha < 1.0):
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
-    mult = _frac_laplacian_multiplier(s.grid.n_x, s.grid.n_y, alpha)
+    mult = _multipliers(s.grid.n_x, s.grid.n_y, s.grid.n_x).k2 ** alpha
     return SpectralField(s.grid, mult * s.coefficients)
 
 

@@ -9,6 +9,12 @@ spatial operators) and the spectral advection/dissipation terms.  For a valid
 solution of either family the residual is round-off; for a constraint-breaking
 candidate the advection term survives and the report flags it.
 
+On a grid θ(t) = Σ_r e^(-r t) P_r (see :mod:`sqgkit.solutions`), so the
+residual is factorised: its linear part is Σ_r e^(-r t) L_r and its bilinear
+advection term Σ_{i<=j} e^(-(r_i + r_j) t) N_ij.  Every ``L_r`` and ``N_ij``
+goes through the spectral operators once per (solution, grid); after the
+first time a residual is two weighted sums and three norms, with no FFT.
+
 Also here: decay-rate fits against κ·E^α, the pattern-correlation and
 unidirectionality metrics that operationalize "the flow pattern does not
 change", and solver-versus-exact error tracking.
@@ -25,8 +31,8 @@ from . import solutions as _sol
 from .errors import DegenerateFit, DomainError, InvalidSolution, UnderResolved, ZeroField
 from .integrator import SolverParams, Trajectory, simulate
 from .solutions import ValidationReport, validate
-from .spectral import (GridSpec, PhysicalField, _frac_laplacian_multiplier, _full_spectrum,
-                       _half_spectrum, _nonlinear_hat, _to_coefficients, _to_values)
+from .spectral import (GridSpec, PhysicalField, _frac_laplacian_multiplier, _multipliers,
+                       _to_coefficients, _to_values, _velocity_hats)
 
 __all__ = [
     "ResidualReport",
@@ -79,6 +85,86 @@ def max_mode(sol) -> tuple[int, int]:
 _HARD_CODES = frozenset({"kappa", "alpha", "nm_zero", "k_zero", "modes_dup", "nonfinite"})
 
 
+def _residual_terms(sol, grid: GridSpec) -> tuple[tuple, tuple]:
+    """``(linear, advection)``: the residual of ``sol`` on ``grid`` as rate-weighted terms.
+
+    With θ(t) = Σ_r e^(-r t) P_r on the grid (``solutions._grid_patterns``),
+    the rest of the residual is linear in the patterns and the advection term
+    is bilinear, so
+
+        ∂θ/∂t + κ(-Δ)^α θ = Σ_r e^(-r t) L_r,              L_r = κ(-Δ)^α P_r - r P_r,
+        u·∇θ = Σ_{i<=j} e^(-(r_i + r_j) t) N_ij,    N_ij = dealias(u_i·∇P_j + u_j·∇P_i),
+
+    with ``N_ii = dealias(u_i·∇P_i)`` and ``u_i`` the velocity of the
+    dealiased ``P_i``.  ``linear`` holds ``(r, L_r)`` and ``advection``
+    ``(r_i + r_j, N_ij)``, each term a read-only array of node values.  The
+    terms are kept beside the patterns in their one-entry cache, so a
+    residual at a new time costs no transform, and the terms are dropped
+    with the patterns when another (solution, grid) pair is evaluated.
+    """
+    entry = _sol._grid_data(sol, grid.n_x, grid.n_y)
+    terms = entry.get("residual")
+    if terms is None:
+        patterns = entry["patterns"]
+        dealias = _multipliers(grid.n_x, grid.n_y, grid.n_x // 2 + 1).dealias
+        coefs = [_to_coefficients(pattern, grid) for _, pattern in patterns]
+        sums = _advection_sums(coefs, grid)
+        advection = []
+        for i, j in list(sums):
+            total_hat = _to_coefficients(sums.pop((i, j)), grid)
+            total_hat *= dealias
+            advection.append((patterns[i][0] + patterns[j][0], _to_values(total_hat, grid)))
+            del total_hat
+        # Built last, so no advection work array is alive beside them.
+        dissip = sol.kappa * _frac_laplacian_multiplier(grid.n_x, grid.n_y, sol.alpha)
+        linear = []
+        for rate, pattern in patterns:
+            term = _to_values(dissip * coefs.pop(0), grid)
+            term -= rate * pattern
+            linear.append((rate, term))
+        for _, term in linear + advection:
+            term.setflags(write=False)
+        terms = entry["residual"] = (tuple(linear), tuple(advection))
+    return terms
+
+
+def _advection_sums(coefs: list, grid: GridSpec) -> dict:
+    """``u_i·∇P_j + u_j·∇P_i`` (``u_i·∇P_i`` for ``i = j``) per pair ``(i, j)``, ``i <= j``.
+
+    ``coefs`` are the half spectra of the patterns; the velocity and the
+    gradients are taken of their dealiased parts.  Each ordered pair is added
+    in place into the sum of its unordered pair.  ``∇P_j`` is transformed
+    anew for every ``i``, so besides ``coefs`` and the sums only ``u_i``,
+    ``v_i`` and one product are alive at a time.
+    """
+    table = _multipliers(grid.n_x, grid.n_y, grid.n_x // 2 + 1)
+
+    def dealiased_values(coef, multiplier):
+        hat = coef * multiplier
+        hat *= table.dealias
+        return _to_values(hat, grid)
+
+    sums: dict[tuple[int, int], np.ndarray] = {}
+    for i, coef_i in enumerate(coefs):
+        u_hat, v_hat = _velocity_hats(coef_i * table.dealias, grid)
+        u = _to_values(u_hat, grid)
+        v = _to_values(v_hat, grid)
+        del u_hat, v_hat
+        for j, coef_j in enumerate(coefs):
+            pair = (min(i, j), max(i, j))
+            product = dealiased_values(coef_j, table.ikx)
+            product *= u
+            if pair in sums:
+                sums[pair] += product
+            else:
+                sums[pair] = product
+            product = dealiased_values(coef_j, table.iky)
+            product *= v
+            sums[pair] += product
+            del product
+    return sums
+
+
 def residual(sol, t: float, grid: GridSpec, kappa: float | None = None,
              alpha: float | None = None) -> ResidualReport:
     """Assemble the discrete SQG residual of ``sol`` at time ``t``.
@@ -114,14 +200,15 @@ def residual(sol, t: float, grid: GridSpec, kappa: float | None = None,
             f"({grid.n_x // 4}, {grid.n_y // 4}) with 2x margin; "
             f"solution needs ({mx}, {my})")
 
-    theta = _sol._on_grid(sol, t, grid)
-    dtheta_dt = _sol._on_grid(sol, t, grid, d_dt=True)
-    coef = _to_coefficients(theta, grid)
-    nonlin_hat = _nonlinear_hat(coef, grid, dealias=True)
-    frac = _half_spectrum(_frac_laplacian_multiplier(grid.n_x, grid.n_y, sol.alpha), grid)
-    dissip_hat = sol.kappa * frac * coef
-    resid = dtheta_dt + _to_values(nonlin_hat + dissip_hat, grid)
-    nonlinear_linf = float(np.max(np.abs(_to_values(nonlin_hat, grid))))
+    linear, advection = _residual_terms(sol, grid)
+    work = np.empty(grid.shape)
+    nonlin = np.zeros(grid.shape)
+    for rate, term in advection:
+        nonlin += np.multiply(math.exp(-rate * t), term, out=work)
+    nonlinear_linf = float(np.max(np.abs(nonlin)))
+    resid = nonlin
+    for rate, term in linear:
+        resid += np.multiply(math.exp(-rate * t), term, out=work)
     l_inf = float(np.max(np.abs(resid)))
     l2 = float(np.sqrt(np.sum(resid**2) * grid.cell_area))
     return ResidualReport(t=float(t), l_inf=l_inf, l2=l2,
@@ -201,14 +288,23 @@ def unidirectionality_check(f: PhysicalField, n: int, m: int) -> float:
     if n == 0 and m == 0:
         raise DomainError("direction (n, m) must be nonzero")
     grid = f.grid
-    # Full spectrum: the stored ky = -n_y/2 row is not mirror-symmetric about the ray.
-    energy = np.abs(_full_spectrum(_to_coefficients(f.values, grid), grid))**2
-    total = float(energy.sum())
+    energy = np.abs(_to_coefficients(f.values, grid))**2
+    # The half spectrum stands for the full one: columns 1 … n_x/2 - 1 also
+    # stand for their mirror images (-kx, -ky), which carry the same energy.
+    mirrored = energy[:, 1:-1]
+    total = float(energy.sum() + mirrored.sum())
     if total < 1e-300:
         raise ZeroField("unidirectionality check of an (effectively) zero field")
-    KX, KY = grid.wavenumbers()
-    off_ray = KX * m - KY * n != 0.0  # exact: small-integer float arithmetic
-    return float(energy[off_ray].sum()) / total
+    table = _multipliers(grid.n_x, grid.n_y, energy.shape[-1])
+    off_ray = table.kx * m != table.ky * n   # exact: small-integer float arithmetic
+    # The ray test is odd in k, so a mirror image gets its original's verdict,
+    # except on the ky = -n_y/2 row: there the mirror of (kx, ky) is stored
+    # as (-kx, -n_y/2), not (-kx, n_y/2), and is tested under that label.
+    mirror_off = off_ray[:, 1:-1].copy()
+    nyq = grid.n_y // 2
+    mirror_off[nyq] = -table.kx[0, 1:-1] * m != table.ky[nyq, 0] * n
+    off = np.sum(energy, where=off_ray) + np.sum(mirrored, where=mirror_off)
+    return float(off) / total
 
 
 def solver_vs_exact(sol, params: SolverParams, grid: GridSpec) -> list[tuple[float, float]]:

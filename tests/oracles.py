@@ -1,6 +1,6 @@
 """Independent closed-form oracles used to validate the spectral machinery.
 
-Everything in this module is computed from trigonometric identities evaluated
+The ``TrigPoly`` oracle is computed from trigonometric identities evaluated
 pointwise with plain numpy -- no FFTs, no code under test.  A ``TrigPoly`` is
 a finite sum
 
@@ -12,13 +12,19 @@ to the inverse square-root Laplacian of f) all have exact closed forms on
 this class, which makes it a convenient independent check for the FFT-based
 implementation.
 
+Two spectral references sit beside them: the advection term on the full
+complex spectrum, and the residual assembled afresh at each time.
+
 The module also provides seeded factories for randomized-but-valid solution
 objects, shared between the property tests and the acceptance suite.
 """
 
 import numpy as np
 
+from sqgkit import solutions
 from sqgkit.solutions import EigenmodeSolution, UnidirectionalSolution
+from sqgkit.spectral import (_frac_laplacian_multiplier, _nonlinear_hat, _to_coefficients,
+                             _to_values)
 
 
 class TrigPoly:
@@ -120,6 +126,26 @@ def full_complex_advection(coef, dealias=True):
     prod = (values(1j * ky * psi) * values(1j * kx * coef)
             + values(-1j * kx * psi) * values(1j * ky * coef))
     return np.fft.fft2(prod) / prod.size * mask
+
+
+def direct_residual(sol, t, grid, kappa=None, alpha=None):
+    """(l_inf, l2, nonlinear_linf) of the residual assembled afresh at time ``t``.
+
+    The per-time assembly the factorised ``verify.residual`` replaces: θ(t)
+    and ∂θ/∂t from the grid patterns, one forward transform of θ, one
+    dealiased advection term and the dissipation, summed in spectral space.
+    No validation or resolution check.
+    """
+    sol = solutions.with_parameters(sol, kappa, alpha)
+    theta = solutions._on_grid(sol, t, grid)
+    dtheta_dt = solutions._on_grid(sol, t, grid, d_dt=True)
+    coef = _to_coefficients(theta, grid)
+    nonlin_hat = _nonlinear_hat(coef, grid, dealias=True)
+    dissip_hat = sol.kappa * _frac_laplacian_multiplier(grid.n_x, grid.n_y, sol.alpha) * coef
+    resid = dtheta_dt + _to_values(nonlin_hat + dissip_hat, grid)
+    return (float(np.max(np.abs(resid))),
+            float(np.sqrt(np.sum(resid**2) * grid.cell_area)),
+            float(np.max(np.abs(_to_values(nonlin_hat, grid)))))
 
 
 # (n, m, k) with n^2 + m^2 = k^2, used when both coefficient groups are live.

@@ -15,6 +15,7 @@ from sqgkit.spectral import (
     inverse_transform,
     nonlinear_term,
     velocity_from_theta,
+    _frac_laplacian_multiplier,
     _full_spectrum,
     _half_spectrum,
 )
@@ -304,3 +305,14 @@ class TestHalfSpectrumCore:
         values = np.random.default_rng(6).standard_normal(g.shape)
         full = forward_transform(PhysicalField(g, values)).coefficients
         assert_allclose(full, np.fft.fft2(values) / g.size, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.37, 0.5, 0.99])
+    def test_cached_fractional_multiplier_is_the_half_of_the_public_one(self, alpha):
+        # The cache keeps the leading n_x//2 + 1 columns only; the solver's
+        # symbol and the public operator must see the same numbers bit for bit.
+        g = GridSpec(48, 32)
+        s = forward_transform(PhysicalField(g, np.random.default_rng(7).standard_normal(g.shape)))
+        full = fractional_laplacian(s, alpha).coefficients
+        half = _frac_laplacian_multiplier(g.n_x, g.n_y, alpha) * _half_spectrum(s.coefficients, g)
+        assert _frac_laplacian_multiplier(g.n_x, g.n_y, alpha).shape == (32, 25)
+        assert np.array_equal(_half_spectrum(full, g).view(np.uint64), half.view(np.uint64))

@@ -238,3 +238,25 @@ class TestHalfSpectrumDiagnostics:
         kx, ky = g.wavenumbers()
         expected = energy[kx * m - ky * n != 0].sum() / energy.sum()
         assert unidirectionality_check(f, n, m) == pytest.approx(expected, rel=1e-13)
+
+    def test_unidirectionality_classifies_mirrors_on_the_ky_nyquist_row(self):
+        # At the nodes cos(64x - 128y) = (-1)^j cos 64x: both its modes,
+        # (64, -128) and its mirror (-64, -128), sit on the ky = -n_y/2 row,
+        # and only the first lies on the ray through (1, -2).
+        g = GridSpec(256, 256)
+        f = PhysicalField.from_function(g, lambda x, y: np.cos(64 * x - 128 * y))
+        assert unidirectionality_check(f, 1, -2) == pytest.approx(0.5, rel=1e-13)
+        assert unidirectionality_check(f, 1, 0) == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("n,m", [(1, -2), (3, 1)])
+    def test_unidirectionality_matches_the_full_spectrum_fraction_at_256(self, n, m):
+        g = GridSpec(256, 256)
+        x, y = g.nodes()
+        values = np.random.default_rng(9).standard_normal(g.shape)
+        values += 50.0 * np.cos(n * x + m * y) + 30.0 * np.sin(2 * n * x + 2 * m * y)
+        f = PhysicalField(g, values)
+        energy = np.abs(np.fft.fft2(f.values) / g.size) ** 2
+        kx, ky = g.wavenumbers()
+        expected = energy[kx * m - ky * n != 0].sum() / energy.sum()
+        assert 0.0 < expected < 0.1
+        assert unidirectionality_check(f, n, m) == pytest.approx(expected, rel=1e-13)
