@@ -10,8 +10,9 @@ Subcommands::
                   config file
 
 Flags mirror config keys; when both a config file and flags are given, flags
-win.  Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 runtime error (blowup, I/O failure).
+win.  Exit codes: 0 success, 1 verification failure, 2 usage/config error
+(a bad parameter, from every subcommand), 3 runtime error (blowup, I/O
+failure).
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ import argparse
 import math
 import sys
 
-from .errors import ConfigError, FormatError, InvalidSolution, SqgError
-from .fileio import parse_config, read_field_csv, read_field_csv_time, render_contour, write_field_csv
+from .errors import ConfigError, FormatError, InvalidSolution, SqgError, UnderResolved
+from .fileio import (_TOP_KEYS, parse_config, parse_grid, read_field_csv, read_field_csv_time,
+                     render_contour, write_field_csv)
 from .scenario import builtin_scenarios, run_builtin, run_scenario
 from .solutions import builtin_samples, validate
 from .spectral import GridSpec
-from .verify import residual
+from .verify import _HARD_CODES, residual
 
 __all__ = ["main"]
 
@@ -49,30 +51,21 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    type=float)
 
 
-_CONFIG_FLAGS = ("solution", "kappa", "alpha", "dt", "t_end", "grid", "snapshots",
-                 "dealias", "outdir", "outputs", "levels", "mode", "name",
-                 "require_correlation_below")
-
-
 def _merged_config(args) -> str:
     """File text (if any) plus one override line per given flag; last wins."""
     parts = []
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             parts.append(fh.read())
-    for key in _CONFIG_FLAGS:
-        value = getattr(args, key, None)
-        if value is not None:
+    for key, value in vars(args).items():   # parser order, not the hash-seeded set order
+        if key in _TOP_KEYS and value is not None:
             parts.append(f"{key} = {value}")
     return "\n".join(parts) + "\n"
 
 
 def _parse_grid(text: str) -> GridSpec:
     try:
-        dims = [int(p) for p in text.lower().split("x")]
-        if len(dims) == 1:
-            dims = dims * 2
-        return GridSpec(dims[0], dims[1])
+        return parse_grid(text)
     except ValueError as exc:
         raise ConfigError([("grid", f"bad grid {text!r}: {exc}")]) from exc
 
@@ -133,12 +126,16 @@ def _cmd_verify(args) -> int:
               file=sys.stderr)
         return 2
     report = validate(sol)
+    if any(v.code in _HARD_CODES for v in report.violations):
+        raise InvalidSolution(report)   # a bad parameter, not a failed check
     if not report.ok:
         print(f"{args.solution}: NOT an exact solution:")
         for v in report.violations:
             print(f"  - {v.message}")
         return 1
     grid = _parse_grid(args.grid)
+    if not math.isfinite(args.tol):   # a NaN tolerance would read as a failure
+        raise ConfigError([("tol", f"tol must be finite, got {args.tol}")])
     try:
         times = [float(t) for t in args.times.split(",") if t.strip()]
         if not all(map(math.isfinite, times)):   # a NaN residual would read as a pass
@@ -241,7 +238,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, FormatError, InvalidSolution, FileNotFoundError, KeyError) as exc:
+    except (ConfigError, FormatError, InvalidSolution, UnderResolved, FileNotFoundError,
+            KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SqgError, OSError) as exc:

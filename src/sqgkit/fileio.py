@@ -65,6 +65,7 @@ __all__ = [
     "parse_config",
     "write_field_csv",
     "read_field_csv",
+    "parse_grid",
     "render_contour",
 ]
 
@@ -195,16 +196,10 @@ def parse_config(text: str) -> ScenarioConfig:
     grid = None
     if "grid" in top:
         lineno, raw = top["grid"]
-        parts = raw.lower().split("x")
         try:
-            dims = [int(p) for p in parts]
-            if len(dims) == 1:
-                dims = dims * 2
-            if len(dims) != 2:
-                raise ValueError
-            grid = GridSpec(dims[0], dims[1])
+            grid = parse_grid(raw)
         except ValueError as exc:
-            semantic.append((lineno, f"bad grid {raw!r}: {exc or 'expected N or NXxNY'}"))
+            semantic.append((lineno, f"bad grid {raw!r}: {exc}"))
 
     snapshot_times: tuple = ()
     if "snapshots" in top:
@@ -299,6 +294,21 @@ def parse_config(text: str) -> ScenarioConfig:
         mode=mode, name=name, require_correlation_below=corr_below)
 
 
+def parse_grid(text: str) -> GridSpec:
+    """Parse a resolution: ``"64"`` (square) or ``"64x32"`` (``n_x`` by ``n_y``).
+
+    Raises:
+        ValueError: Not one or two integers joined by ``x``, or extents that
+            :class:`GridSpec` rejects.
+    """
+    dims = [int(p) for p in text.lower().split("x")]
+    if len(dims) == 1:
+        dims *= 2
+    if len(dims) != 2:
+        raise ValueError("expected N or NXxNY")
+    return GridSpec(*dims)
+
+
 def _parse_solution_section(section, kappa, alpha, syntax, semantic):
     if kappa is None or alpha is None:
         return None   # already reported as missing/invalid at the top level
@@ -373,20 +383,9 @@ def read_field_csv(path) -> PhysicalField:
             message names the offending row, except for non-finite entries).
     """
     with open(path, "r", encoding="utf-8") as fh:
-        # The same lines as fh.read().splitlines(), one at a time.
-        lines = (piece for line in fh for piece in line.splitlines())
-        first = next(lines, None)
-        if first is None or not first.lstrip().startswith("#"):
-            raise FormatError(f"{path}: missing '# nx,ny,t' header")
-        header = first.lstrip()[1:].split(",")
-        if len(header) != 3:
-            raise FormatError(f"{path}: header must be '# nx,ny,t', got {first!r}")
-        try:
-            n_x, n_y = int(header[0]), int(header[1])
-            float(header[2])
-            grid = GridSpec(n_x, n_y)
-        except ValueError as exc:
-            raise FormatError(f"{path}: bad header: {exc}") from exc
+        lines = _lines(fh, path)
+        grid, _ = _read_header(lines, path)
+        n_x, n_y = grid.n_x, grid.n_y
         # A wrong row count is reported before a bad row, so the first bad row
         # is held until every row is counted.  Rows are kept one array each:
         # nothing the size of the header's grid is allocated before the count
@@ -424,16 +423,30 @@ def read_field_csv(path) -> PhysicalField:
 def read_field_csv_time(path) -> float:
     """Return the time stamp recorded in a field CSV header."""
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-    if not first.lstrip().startswith("#"):
+        return _read_header(_lines(fh, path), path)[1]
+
+
+def _lines(fh, path):
+    """The lines of ``fh`` as ``fh.read().splitlines()`` gives them, one at a time."""
+    try:
+        for line in fh:
+            yield from line.splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _read_header(lines, path) -> tuple[GridSpec, float]:
+    """``(grid, t)`` from the ``# nx,ny,t`` header, the first of ``lines``."""
+    first = next(lines, None)
+    if first is None or not first.lstrip().startswith("#"):
         raise FormatError(f"{path}: missing '# nx,ny,t' header")
-    parts = first.lstrip()[1:].split(",")
-    if len(parts) != 3:
+    header = first.lstrip()[1:].split(",")
+    if len(header) != 3:
         raise FormatError(f"{path}: header must be '# nx,ny,t', got {first!r}")
     try:
-        return float(parts[2])
+        return GridSpec(int(header[0]), int(header[1])), float(header[2])
     except ValueError as exc:
-        raise FormatError(f"{path}: bad header time: {exc}") from exc
+        raise FormatError(f"{path}: bad header: {exc}") from exc
 
 
 # --------------------------------------------------------------------------

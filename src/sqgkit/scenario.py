@@ -21,8 +21,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import verify
 from .errors import ConstraintViolation
 from .fileio import ScenarioConfig, render_contour, write_field_csv
@@ -79,22 +77,10 @@ class ScenarioResult:
     report_path: str | None
 
 
-def _fmt_time(t: float) -> str:
-    return f"{t:g}"
-
-
 def _single_eigenvalue(sol) -> float | None:
     """Squared wavenumber magnitude if the solution decays at a single rate."""
     rates = {p * p + q * q for p, q, _, _ in _waves(sol)}
     return float(rates.pop()) if len(rates) == 1 else None
-
-
-def _write_report(path, checks) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("check,subject,time,value,threshold,status\n")
-        for c in checks:
-            t = "" if c.time is None else f"{c.time:.17g}"
-            fh.write(f"{c.check},{c.subject},{t},{c.value:.17g},{c.threshold},{c.status}\n")
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -109,21 +95,39 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             kind (``exact`` on a non-exact datum).
         BlowupDetected: Propagated from the solver.
     """
+    checks, artifacts = _run(config)
+    return _finish(config.outdir, checks, artifacts, "report" in config.outputs)
+
+
+def _finish(outdir: str, checks: list, artifacts: list, report: bool) -> ScenarioResult:
+    """Write ``report.csv`` (if ``report``) and map the checks onto the exit code."""
+    report_path = None
+    if report:
+        report_path = os.path.join(outdir, "report.csv")
+        with open(report_path, "w", encoding="utf-8") as fh:
+            fh.write("check,subject,time,value,threshold,status\n")
+            for c in checks:
+                t = "" if c.time is None else f"{c.time:.17g}"
+                fh.write(f"{c.check},{c.subject},{t},{c.value:.17g},{c.threshold},{c.status}\n")
+        artifacts.append(report_path)
+    failed = any(c.passed is False for c in checks)
+    return ScenarioResult(exit_code=1 if failed else 0, checks=tuple(checks),
+                          artifacts=tuple(artifacts), outdir=outdir,
+                          report_path=report_path)
+
+
+def _run(config: ScenarioConfig) -> tuple[list, list]:
+    """Run one config and write its field artifacts; returns ``(checks, artifacts)``."""
     os.makedirs(config.outdir, exist_ok=True)
     artifacts: list[str] = []
     checks: list[CheckResult] = []
 
-    candidate = None
     if isinstance(config.solution, str):
         sample = builtin_samples()[config.solution]
         exact = sample.exact
-        candidate = sample.solution(config.kappa, config.alpha)
-        sol = candidate if exact else None
-        datum = sample.initial_field(config.grid)
+        sol = sample.solution(config.kappa, config.alpha)
     else:
-        sol = config.solution
-        exact = True
-        datum = eval_theta(sol, 0.0, config.grid)
+        exact, sol = True, config.solution
 
     mode = config.mode
     if mode == "auto":
@@ -134,9 +138,14 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     name = config.name or "field"
     times = sorted({0.0, float(config.t_end), *config.snapshot_times})
+    params = None
+    if mode != "exact" and config.t_end > 0.0:
+        params = SolverParams(kappa=config.kappa, alpha=config.alpha, dt=config.dt,
+                              t_end=config.t_end, dealias=config.dealias,
+                              snapshot_times=tuple(times))
 
     def emit(field, t, prefix=name):
-        base = os.path.join(config.outdir, f"{prefix}_t{_fmt_time(t)}")
+        base = os.path.join(config.outdir, f"{prefix}_t{t:g}")
         if "csv" in config.outputs:
             write_field_csv(field, base + ".csv", t=t)
             artifacts.append(base + ".csv")
@@ -164,19 +173,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                 checks.append(CheckResult("unidirectional_offray", name, t, off,
                                           f"<={UNIDIRECTIONAL_TOL:g}",
                                           off <= UNIDIRECTIONAL_TOL))
-        if mode in ("both", "simulate") and config.t_end > 0.0:
-            params = SolverParams(kappa=config.kappa, alpha=config.alpha, dt=config.dt,
-                                  t_end=config.t_end, dealias=config.dealias,
-                                  snapshot_times=tuple(times))
-            traj = simulate(theta0, params)
-            worst = 0.0
-            for snap in traj.snapshots:
-                ref = eval_theta(sol, snap.t, config.grid)
-                diff = snap.field.values - ref.values
-                err = float(np.sqrt((diff**2).sum() * config.grid.cell_area))
-                worst = max(worst, err / max(ref.l2_norm(), 1e-300))
-                if mode == "simulate":
+        if params is not None:
+            traj, series = verify._solver_error(sol, theta0, params)
+            if mode == "simulate":
+                for snap in traj.snapshots:
                     emit(snap.field, snap.t, prefix=f"{name}_sim")
+            worst = max(err for _, err in series)
             checks.append(CheckResult("solver_rel_l2", name, config.t_end, worst,
                                       f"<={SOLVER_TOL:g}", worst <= SOLVER_TOL))
             if single_e and len(traj.snapshots) >= 3:
@@ -185,16 +187,14 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                                           fit.relative_error, f"<={DECAY_TOL:g}",
                                           fit.relative_error <= DECAY_TOL))
     else:
-        if candidate is not None:
+        datum = sample.initial_field(config.grid)
+        if sol is not None:
             # Show that validation genuinely rejects the lookalike solution form.
-            report = validate(candidate)
+            report = validate(sol)
             checks.append(CheckResult("validation_rejected", name, None,
                                       float(len(report.violations)), ">=1",
                                       len(report.violations) >= 1))
-        if config.t_end > 0.0:
-            params = SolverParams(kappa=config.kappa, alpha=config.alpha, dt=config.dt,
-                                  t_end=config.t_end, dealias=config.dealias,
-                                  snapshot_times=tuple(times))
+        if params is not None:
             traj = simulate(datum, params)
             for snap in traj.snapshots:
                 emit(snap.field, snap.t)
@@ -208,17 +208,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                                           corr, "", None))
         else:
             emit(datum, 0.0)
-
-    report_path = None
-    if "report" in config.outputs:
-        report_path = os.path.join(config.outdir, "report.csv")
-        _write_report(report_path, checks)
-        artifacts.append(report_path)
-
-    failed = any(c.passed is False for c in checks)
-    return ScenarioResult(exit_code=1 if failed else 0, checks=tuple(checks),
-                          artifacts=tuple(artifacts), outdir=config.outdir,
-                          report_path=report_path)
+    return checks, artifacts
 
 
 # --------------------------------------------------------------------------
@@ -228,9 +218,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 def run_builtin(scenario: str, outdir: str | None = None) -> ScenarioResult:
     """Run a named builtin scenario.
 
-    ``figure1`` renders the three sample solutions at t = 0 and t = 100 with
-    κ = α = 0.001 on a 256² grid (six PPM images) and checks that the θ₁/θ₂
-    patterns are exactly preserved and θ₃ stays unidirectional.
+    ``figure1`` runs the three sample solutions θ₁, θ₂, θ₃ through the
+    ``mode = exact`` scenario with κ = α = 0.001 on a 256² grid to t = 100.
+    It renders each at t = 0 and t = 100 (six PPM images) and writes one
+    report: the residual at both times, that the θ₁/θ₂ patterns are exactly
+    preserved, and that θ₃ stays unidirectional.
 
     ``constantin-negative`` evolves the ``sin x sin y + cos y`` datum
     (α = 0.4, κ = 0.001) to t = 5 and checks that the pattern correlation
@@ -241,7 +233,16 @@ def run_builtin(scenario: str, outdir: str | None = None) -> ScenarioResult:
         KeyError: Unknown scenario name.
     """
     if scenario == "figure1":
-        return _run_figure1(outdir or "figure1-out")
+        outdir = outdir or "figure1-out"
+        checks, artifacts = [], []
+        for key in ("theta1", "theta2", "theta3"):
+            config = ScenarioConfig(
+                solution=key, kappa=0.001, alpha=0.001, grid=GridSpec(256, 256),
+                t_end=100.0, outdir=outdir, outputs=("ppm",), mode="exact", name=key)
+            part_checks, part_artifacts = _run(config)
+            checks += part_checks
+            artifacts += part_artifacts
+        return _finish(outdir, checks, artifacts, report=True)
     if scenario == "constantin-negative":
         config = ScenarioConfig(
             solution="con-1", kappa=0.001, alpha=0.4, grid=GridSpec(128, 128),
@@ -255,37 +256,3 @@ def run_builtin(scenario: str, outdir: str | None = None) -> ScenarioResult:
 
 def builtin_scenarios() -> tuple[str, ...]:
     return ("figure1", "constantin-negative")
-
-
-def _run_figure1(outdir: str) -> ScenarioResult:
-    kappa = alpha = 0.001
-    grid = GridSpec(256, 256)
-    times = (0.0, 100.0)
-    os.makedirs(outdir, exist_ok=True)
-    artifacts: list[str] = []
-    checks: list[CheckResult] = []
-    samples = builtin_samples()
-    for key in ("theta1", "theta2", "theta3"):
-        sol = samples[key].solution(kappa, alpha)
-        fields = {t: eval_theta(sol, t, grid) for t in times}
-        for t in times:
-            path = os.path.join(outdir, f"{key}_t{_fmt_time(t)}.ppm")
-            render_contour(fields[t], path, levels=21)
-            artifacts.append(path)
-        if key == "theta3":
-            for t in times:
-                off = verify.unidirectionality_check(fields[t], 1, 1)
-                checks.append(CheckResult("unidirectional_offray", key, t, off,
-                                          f"<={UNIDIRECTIONAL_TOL:g}",
-                                          off <= UNIDIRECTIONAL_TOL))
-        else:
-            dev = abs(verify.pattern_correlation(fields[100.0], fields[0.0]) - 1.0)
-            checks.append(CheckResult("correlation_dev", key, 100.0, dev,
-                                      f"<={CORRELATION_TOL:g}", dev <= CORRELATION_TOL))
-    report_path = os.path.join(outdir, "report.csv")
-    _write_report(report_path, checks)
-    artifacts.append(report_path)
-    failed = any(c.passed is False for c in checks)
-    return ScenarioResult(exit_code=1 if failed else 0, checks=tuple(checks),
-                          artifacts=tuple(artifacts), outdir=outdir,
-                          report_path=report_path)

@@ -156,11 +156,22 @@ _CONSTRAINT_NOTE = (
     " != 0 requires n^2 + m^2 = k^2")
 
 
-def _check_common(kappa: float, alpha: float, out: list) -> None:
-    if not np.isfinite(kappa) or kappa <= 0.0:
+def _check_common(sol: Solution, out: list) -> None:
+    kappa, alpha = sol.kappa, sol.alpha
+    bad_kappa = not np.isfinite(kappa) or kappa <= 0.0
+    bad_alpha = not np.isfinite(alpha) or not (0.0 <= alpha < 1.0)
+    if bad_kappa:
         out.append(Violation("kappa", f"kappa must be > 0, got {kappa}"))
-    if not np.isfinite(alpha) or not (0.0 <= alpha < 1.0):
+    if bad_alpha:
         out.append(Violation("alpha", f"alpha must lie in [0, 1), got {alpha}"))
+    if not (bad_kappa or bad_alpha):
+        try:
+            rate = max((_rate(sol, p, q) for p, q, _, _ in _waves(sol)), default=0.0)
+        except OverflowError:   # |k|² beyond the largest double
+            rate = math.inf
+        if not math.isfinite(rate):
+            out.append(Violation("rate", f"decay rate kappa*|k|^(2*alpha) must be "
+                                         f"finite, got {rate}"))
 
 
 def validate(sol: Solution) -> ValidationReport:
@@ -173,7 +184,7 @@ def validate(sol: Solution) -> ValidationReport:
     violations: list[Violation] = []
     notes: list[str] = []
     if isinstance(sol, EigenmodeSolution):
-        _check_common(sol.kappa, sol.alpha, violations)
+        _check_common(sol, violations)
         coeffs = (sol.c1, sol.c2, sol.c3, sol.c4, sol.c5, sol.c6, sol.c7, sol.c8)
         if not all(np.isfinite(c) for c in coeffs):
             violations.append(Violation("nonfinite", "coefficients must be finite"))
@@ -190,7 +201,7 @@ def validate(sol: Solution) -> ValidationReport:
         if sol.group_b_active and sol.k == 0:
             violations.append(Violation("k_zero", "k must be nonzero when c5..c8 are active"))
     elif isinstance(sol, UnidirectionalSolution):
-        _check_common(sol.kappa, sol.alpha, violations)
+        _check_common(sol, violations)
         if abs(sol.n) + abs(sol.m) == 0:
             violations.append(Violation("nm_zero", "direction (n, m) must be nonzero"))
         ks = [k for k, _, _ in sol.modes]
@@ -252,14 +263,13 @@ def _rate(sol: Solution, p: int, q: int) -> float:
     return sol.kappa * float(p * p + q * q)**sol.alpha
 
 
-def _decayed_waves(sol: Solution, t: float, x, y):
-    """Yield ``(p, q, rate, a, b, phase)`` per wave, amplitudes decayed to ``t``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def _waves_at(sol: Solution, t: float) -> list[tuple[int, int, float, float]]:
+    """``_waves(sol)`` at time ``t``: every amplitude times ``e^(-rate t)``."""
+    decayed = []
     for p, q, a, b in _waves(sol):
-        rate = _rate(sol, p, q)
-        decay = math.exp(-rate * t)
-        yield p, q, rate, decay * a, decay * b, p * x + q * y
+        decay = math.exp(-_rate(sol, p, q) * t)
+        decayed.append((p, q, decay * a, decay * b))
+    return decayed
 
 
 def _wave_sum(waves, x, y) -> np.ndarray:
@@ -286,32 +296,24 @@ def _wave_sum(waves, x, y) -> np.ndarray:
 
 
 def _theta_at(sol: Solution, t: float, x, y):
-    decayed = []
-    for p, q, a, b in _waves(sol):
-        decay = math.exp(-_rate(sol, p, q) * t)
-        decayed.append((p, q, decay * a, decay * b))
-    return _wave_sum(decayed, x, y)[()]   # a NumPy scalar at a single point
+    return _wave_sum(_waves_at(sol, t), x, y)[()]   # a NumPy scalar at a single point
 
 
 def _velocity_at(sol: Solution, t: float, x, y):
-    # psi = wave / sqrt(E), so (u, v) = (d_y psi, -d_x psi)
-    #     = (q, -p) / sqrt(E) * (b cos(phase) - a sin(phase)).
-    u = np.zeros(np.broadcast(x, y).shape)
-    v = np.zeros(u.shape)
-    for p, q, _, a, b, phase in _decayed_waves(sol, t, x, y):
-        if p == 0 and q == 0:
-            continue  # the mean has no stream function (zero-mode convention)
-        deriv = (b * np.cos(phase) - a * np.sin(phase)) / math.sqrt(p * p + q * q)
-        u = u + q * deriv
-        v = v - p * deriv
-    return u, v
+    # psi = wave / |k|, so (u, v) = (d_y psi, -d_x psi): the wave (p, q, a, b)
+    # gives u the amplitudes (q b, -q a) / |k| and v (-p b, p a) / |k|.  The
+    # mean has no stream function (zero-mode convention).
+    waves = [(p, q, a, b, math.sqrt(p * p + q * q))
+             for p, q, a, b in _waves_at(sol, t) if p or q]
+    u = _wave_sum([(p, q, q * b / k, -q * a / k) for p, q, a, b, k in waves], x, y)
+    v = _wave_sum([(p, q, -p * b / k, p * a / k) for p, q, a, b, k in waves], x, y)
+    return u[()], v[()]
 
 
 def _dtheta_dt_at(sol: Solution, t: float, x, y):
-    out = np.zeros(np.broadcast(x, y).shape)
-    for _, _, rate, a, b, phase in _decayed_waves(sol, t, x, y):
-        out = out - rate * (a * np.cos(phase) + b * np.sin(phase))
-    return out
+    waves = [(p, q, -_rate(sol, p, q) * a, -_rate(sol, p, q) * b)
+             for p, q, a, b in _waves_at(sol, t)]
+    return _wave_sum(waves, x, y)[()]
 
 
 def theta_at(sol: Solution, t: float, x, y):

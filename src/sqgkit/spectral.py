@@ -406,12 +406,18 @@ def velocity_from_theta(s: SpectralField) -> tuple[SpectralField, SpectralField]
     Derivatives are the diagonal multipliers ``i k_y`` and ``-i k_x``.  The
     returned pair is exactly divergence-free in spectral space:
     ``i kx û + i ky v̂`` is the all-zero coefficient array, bit for bit (see
-    ``_truncate_mantissa``).  It is computed on the full array: mirroring a
-    half-spectrum velocity would break the exact cancellation on the
-    ``ky = -n_y/2`` row.
+    ``_truncate_mantissa``).  It is Hermitian, so it inverts to real fields:
+    ψ is zeroed on the ``ky = -n_y/2`` row and the ``kx = -n_x/2`` column,
+    where an odd derivative of a real field has no real part, and the half
+    spectrum's velocity is mirrored to the full array.
     """
-    u, v = _velocity_hats(s.coefficients, s.grid)
-    return SpectralField(s.grid, u), SpectralField(s.grid, v)
+    grid = s.grid
+    coef = _half_spectrum(s.coefficients, grid).copy()
+    coef[grid.n_y // 2] = 0.0
+    coef[:, -1] = 0.0
+    u, v = _velocity_hats(coef, grid)
+    return (SpectralField(grid, _full_spectrum(u, grid)),
+            SpectralField(grid, _full_spectrum(v, grid)))
 
 
 def _velocity_hats(coef: np.ndarray, grid: GridSpec):

@@ -82,7 +82,8 @@ def max_mode(sol) -> tuple[int, int]:
 # Pythagorean coupling constraint is deliberately NOT among them: a
 # constraint-breaking candidate still defines a perfectly good field, and the
 # residual report is exactly the tool that exposes its non-exactness.
-_HARD_CODES = frozenset({"kappa", "alpha", "nm_zero", "k_zero", "modes_dup", "nonfinite"})
+_HARD_CODES = frozenset({"kappa", "alpha", "rate", "nm_zero", "k_zero", "modes_dup",
+                         "nonfinite"})
 
 
 def _residual_terms(sol, grid: GridSpec) -> tuple[tuple, tuple]:
@@ -323,12 +324,18 @@ def solver_vs_exact(sol, params: SolverParams, grid: GridSpec) -> list[tuple[flo
     report = validate(sol)
     if not report.ok:
         raise InvalidSolution(report)
-    initial = _sol.eval_theta(sol, 0.0, grid)
+    return _solver_error(sol, _sol.eval_theta(sol, 0.0, grid), params)[1]
+
+
+def _solver_error(sol, initial: PhysicalField, params: SolverParams) -> tuple[Trajectory, list]:
+    """``(trajectory, series)``: the solver run from ``initial = θ(0)`` of the
+    valid ``sol``, and its :func:`solver_vs_exact` series."""
+    grid = initial.grid
     traj = simulate(initial, params)
     series = []
     for snap in traj.snapshots:
         exact = _sol.eval_theta(sol, snap.t, grid)
-        denom = max(exact.l2_norm(), 1e-300)
-        diff = PhysicalField(grid, snap.field.values - exact.values)
-        series.append((snap.t, diff.l2_norm() / denom))
-    return series
+        diff = snap.field.values - exact.values
+        err = float(np.sqrt(np.sum(diff**2) * grid.cell_area))
+        series.append((snap.t, err / max(exact.l2_norm(), 1e-300)))
+    return traj, series

@@ -316,3 +316,21 @@ class TestHalfSpectrumCore:
         half = _frac_laplacian_multiplier(g.n_x, g.n_y, alpha) * _half_spectrum(s.coefficients, g)
         assert _frac_laplacian_multiplier(g.n_x, g.n_y, alpha).shape == (32, 25)
         assert np.array_equal(_half_spectrum(full, g).view(np.uint64), half.view(np.uint64))
+
+
+class TestVelocityIsHermitian:
+    # The odd derivatives of a real field have no real part on the ky = -n_y/2
+    # row and the kx = -n_x/2 column, so the velocity must vanish there for
+    # its spectra to invert to real fields.
+    @pytest.mark.parametrize("n_x, n_y", [(8, 8), (48, 32)])
+    def test_velocity_inverts_on_a_random_field(self, n_x, n_y):
+        g = GridSpec(n_x, n_y)
+        rng = np.random.default_rng(n_x * n_y)
+        theta = forward_transform(PhysicalField(g, rng.standard_normal(g.shape)))
+        u, v = velocity_from_theta(theta)
+        assert u.symmetry_defect() < 1e-15 and v.symmetry_defect() < 1e-15
+        inverse_transform(u)
+        inverse_transform(v)
+        kx, ky = g.wavenumbers()
+        div = 1j * kx * u.coefficients + 1j * ky * v.coefficients
+        assert np.abs(div).max() == 0.0
