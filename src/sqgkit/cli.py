@@ -22,8 +22,8 @@ import math
 import sys
 
 from .errors import ConfigError, FormatError, InvalidSolution, SqgError, UnderResolved
-from .fileio import (_TOP_KEYS, parse_config, parse_grid, read_field_csv, read_field_csv_time,
-                     render_contour, write_field_csv)
+from .fileio import (_TOP_KEYS, _check_levels, _section_header, parse_config, parse_grid,
+                     read_field_csv, read_field_csv_time, render_contour, write_field_csv)
 from .scenario import builtin_scenarios, run_builtin, run_scenario
 from .solutions import builtin_samples, validate
 from .spectral import GridSpec
@@ -53,14 +53,25 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 def _merged_config(args) -> str:
     """File text (if any) plus one override line per given flag; last wins."""
-    parts = []
+    text = ""
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            parts.append(fh.read())
-    for key, value in vars(args).items():   # parser order, not the hash-seeded set order
-        if key in _TOP_KEYS and value is not None:
-            parts.append(f"{key} = {value}")
-    return "\n".join(parts) + "\n"
+            text = fh.read()
+    return _with_overrides(text, [f"{key} = {value}" for key, value in vars(args).items()
+                                  # parser order, not the hash-seeded set order
+                                  if key in _TOP_KEYS and value is not None])
+
+
+def _with_overrides(text: str, overrides: list[str]) -> str:
+    """``text`` with the top-level ``overrides`` lines put where its top-level keys end.
+
+    That is before its first ``[section]`` header: after it, a line would be
+    read as a key of that section.  A later assignment wins, so the lines
+    override the file's top-level values.
+    """
+    lines = text.splitlines()
+    head = next((i for i, line in enumerate(lines) if _section_header(line)), len(lines))
+    return "\n".join(lines[:head] + overrides + lines[head:]) + "\n"
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -70,16 +81,18 @@ def _parse_grid(text: str) -> GridSpec:
         raise ConfigError([("grid", f"bad grid {text!r}: {exc}")]) from exc
 
 
-def _check_levels(levels: int) -> None:
-    if levels < 2:
-        raise ConfigError([("levels", f"levels must be >= 2, got {levels}")])
+def _require_levels(levels: int) -> None:
+    try:
+        _check_levels(levels)
+    except ValueError as exc:
+        raise ConfigError([("levels", str(exc))]) from exc
 
 
 def _cmd_eval(args) -> int:
     if not args.csv and not args.ppm:
         print("eval: give at least one of --csv/--ppm", file=sys.stderr)
         return 2
-    _check_levels(args.levels)   # before the CSV is written
+    _require_levels(args.levels)   # before the CSV is written
     if not math.isfinite(args.time):
         raise ConfigError([("time", f"time must be finite, got {args.time}")])
     samples = builtin_samples()
@@ -155,7 +168,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    _check_levels(args.levels)
+    _require_levels(args.levels)
     field = read_field_csv(args.input)
     render_contour(field, args.output, levels=args.levels)
     t = read_field_csv_time(args.input)
@@ -170,7 +183,7 @@ def _cmd_scenario(args) -> int:
         with open(args.target, "r", encoding="utf-8") as fh:
             text = fh.read()
         if args.outdir:
-            text += f"\noutdir = {args.outdir}\n"
+            text = _with_overrides(text, [f"outdir = {args.outdir}"])
         result = run_scenario(parse_config(text))
     _print_checks(result)
     return result.exit_code

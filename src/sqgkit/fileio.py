@@ -13,15 +13,15 @@ Top-level keys::
     solution   builtin name (theta1, theta2, theta3, con-1, con-2, con-3)
     kappa      dissipation coefficient, > 0                       (required)
     alpha      fractional exponent in [0, 1)                      (required)
-    grid       resolution: "64" or "64x32"                        (required)
+    grid       resolution: "64" or "64x32", each extent <= 8192    (required)
     t_end      final time, >= 0                                   (required)
-    dt         time step (required when t_end > 0)
+    dt         time step (required when t_end > 0); t_end/dt <= 1e7 steps
     snapshots  comma-separated times in [0, t_end]
     dealias    true/false (default true)
     outdir     artifact directory (default "sqg-out")
     outputs    comma list from {csv, ppm, report}; "pgm" is accepted as an
                alias for ppm (default all three)
-    levels     contour quantization bands, >= 2 (default 21)
+    levels     contour quantization bands, in [2, 4096] (default 21)
     mode       exact | simulate | both | auto (default auto)
     name       artifact file prefix (default: the solution name)
     require_correlation_below
@@ -56,9 +56,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstraintViolation, FormatError, ParseError, UnknownKey
+from .integrator import MAX_STEPS
 from .solutions import (EigenmodeSolution, UnidirectionalSolution, builtin_samples,
                         validate)
-from .spectral import GridSpec, PhysicalField
+from .spectral import MAX_EXTENT, GridSpec, PhysicalField
 
 __all__ = [
     "ScenarioConfig",
@@ -67,7 +68,10 @@ __all__ = [
     "read_field_csv",
     "parse_grid",
     "render_contour",
+    "MAX_LEVELS",
 ]
+
+MAX_LEVELS = 4096   # contour bands; the colour table is built one band at a time
 
 _TOP_KEYS = {
     "solution", "kappa", "alpha", "grid", "t_end", "dt", "snapshots", "dealias",
@@ -104,6 +108,14 @@ def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0]
 
 
+def _section_header(raw: str) -> str | None:
+    """The lower-cased name of a ``[section]`` header line, or None for any other line."""
+    line = _strip_comment(raw).strip()
+    if line.startswith("[") and line.endswith("]"):
+        return line[1:-1].strip().lower()
+    return None
+
+
 def _parse_bool(raw: str):
     lowered = raw.strip().lower()
     if lowered in ("true", "on", "yes", "1"):
@@ -136,8 +148,9 @@ def parse_config(text: str) -> ScenarioConfig:
         line = _strip_comment(raw).strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
+        header = _section_header(raw)
+        if header is not None:
+            section = header
             if section != "solution":
                 syntax.append((lineno, f"unknown section [{section}]"))
                 section = "?"
@@ -192,6 +205,9 @@ def parse_config(text: str) -> ScenarioConfig:
     dt = take_float("dt", lo_strict=0.0)
     if dt is None and "dt" not in top and t_end is not None and t_end > 0.0:
         syntax.append(("config", "missing required key: dt (t_end > 0)"))
+    if dt is not None and t_end is not None and t_end / dt > MAX_STEPS:
+        semantic.append((top["dt"][0], f"t_end / dt = {t_end / dt:.3g} exceeds "
+                                       f"{MAX_STEPS} steps"))
 
     grid = None
     if "grid" in top:
@@ -229,8 +245,10 @@ def parse_config(text: str) -> ScenarioConfig:
         except ValueError:
             syntax.append((lineno, f"levels must be an integer, got {raw!r}"))
         else:
-            if levels < 2:
-                semantic.append((lineno, f"levels must be >= 2, got {levels}"))
+            try:
+                _check_levels(levels)
+            except ValueError as exc:
+                semantic.append((lineno, str(exc)))
 
     outputs: tuple = _OUTPUT_KINDS
     if "outputs" in top:
@@ -384,12 +402,12 @@ def read_field_csv(path) -> PhysicalField:
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = _lines(fh, path)
-        grid, _ = _read_header(lines, path)
-        n_x, n_y = grid.n_x, grid.n_y
+        n_x, n_y, _ = _read_header(lines, path)
         # A wrong row count is reported before a bad row, so the first bad row
         # is held until every row is counted.  Rows are kept one array each:
         # nothing the size of the header's grid is allocated before the count
-        # has confirmed it.
+        # has confirmed it, and no row at all for a grid beyond MAX_EXTENT.
+        oversized = max(n_x, n_y) > MAX_EXTENT
         rows: list[np.ndarray] = []
         count = 0
         bad_row = None
@@ -397,7 +415,7 @@ def read_field_csv(path) -> PhysicalField:
             if not ln.strip():
                 continue
             count += 1
-            if bad_row is not None or count > n_y:
+            if oversized or bad_row is not None or count > n_y:
                 continue
             parts = ln.split(",")
             if len(parts) != n_x:
@@ -409,6 +427,7 @@ def read_field_csv(path) -> PhysicalField:
                 bad_row = (f"row {count}: {exc}", exc)
     if count != n_y:
         raise FormatError(f"{path}: expected {n_y} data rows, found {count}")
+    grid = _header_grid(n_x, n_y, path)
     if bad_row is not None:
         message, cause = bad_row
         raise FormatError(f"{path}: {message}") from cause
@@ -423,7 +442,9 @@ def read_field_csv(path) -> PhysicalField:
 def read_field_csv_time(path) -> float:
     """Return the time stamp recorded in a field CSV header."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _read_header(_lines(fh, path), path)[1]
+        n_x, n_y, t = _read_header(_lines(fh, path), path)
+    _header_grid(n_x, n_y, path)
+    return t
 
 
 def _lines(fh, path):
@@ -435,8 +456,12 @@ def _lines(fh, path):
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _read_header(lines, path) -> tuple[GridSpec, float]:
-    """``(grid, t)`` from the ``# nx,ny,t`` header, the first of ``lines``."""
+def _read_header(lines, path) -> tuple[int, int, float]:
+    """``(n_x, n_y, t)`` from the ``# nx,ny,t`` header, the first of ``lines``.
+
+    The extents are checked as :class:`GridSpec` checks them, except for the
+    ``MAX_EXTENT`` bound, which ``_header_grid`` adds.
+    """
     first = next(lines, None)
     if first is None or not first.lstrip().startswith("#"):
         raise FormatError(f"{path}: missing '# nx,ny,t' header")
@@ -444,7 +469,16 @@ def _read_header(lines, path) -> tuple[GridSpec, float]:
     if len(header) != 3:
         raise FormatError(f"{path}: header must be '# nx,ny,t', got {first!r}")
     try:
-        return GridSpec(int(header[0]), int(header[1])), float(header[2])
+        n_x, n_y, t = int(header[0]), int(header[1]), float(header[2])
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad header: {exc}") from exc
+    _header_grid(min(n_x, MAX_EXTENT), min(n_y, MAX_EXTENT), path)
+    return n_x, n_y, t
+
+
+def _header_grid(n_x: int, n_y: int, path) -> GridSpec:
+    try:
+        return GridSpec(n_x, n_y)
     except ValueError as exc:
         raise FormatError(f"{path}: bad header: {exc}") from exc
 
@@ -472,6 +506,12 @@ def _colormap_lut(levels: int) -> np.ndarray:
     return lut
 
 
+def _check_levels(levels: int) -> None:
+    """Raise ValueError unless ``2 <= levels <= MAX_LEVELS``."""
+    if not 2 <= levels <= MAX_LEVELS:
+        raise ValueError(f"levels must lie in [2, {MAX_LEVELS}], got {levels}")
+
+
 def render_contour(f: PhysicalField, path, levels: int = 21) -> None:
     """Render a field to a binary PPM (P6) contour-band image.
 
@@ -483,12 +523,12 @@ def render_contour(f: PhysicalField, path, levels: int = 21) -> None:
     Args:
         f: Field to render.
         path: Output file path.
-        levels: Number of quantization bands, >= 2 (odd values center a band
-            exactly on zero; the default 21 gives the banded contour look).
+        levels: Number of quantization bands in [2, ``MAX_LEVELS``] (odd values
+            center a band exactly on zero; the default 21 gives the banded
+            contour look).
     """
     levels = int(levels)
-    if levels < 2:
-        raise ValueError(f"levels must be >= 2, got {levels}")
+    _check_levels(levels)
     vmax = float(np.max(np.abs(f.values)))
     scaled = f.values / vmax if vmax > 0.0 else np.zeros_like(f.values)
     # (scaled + 1.0) * 0.5 * levels, rounded step by step as written, in place

@@ -24,10 +24,11 @@ from .spectral import (GridSpec, PhysicalField, SpectralField, _frac_laplacian_m
                        _to_coefficients, _to_values, _velocity_hats)
 
 __all__ = ["SolverParams", "Snapshot", "Trajectory", "step", "simulate",
-           "CFL_CONSTANT", "BLOWUP_FACTOR"]
+           "CFL_CONSTANT", "BLOWUP_FACTOR", "MAX_STEPS"]
 
 CFL_CONSTANT = 0.5
 BLOWUP_FACTOR = 1e6
+MAX_STEPS = 10**7   # ⌈t_end/dt⌉; at 64², 10⁷ steps already take about ten hours
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,8 @@ class SolverParams:
     Args:
         kappa: Dissipation coefficient, > 0.
         alpha: Fractional Laplacian exponent in [0, 1).
-        dt: Time step, > 0 and <= t_end when t_end > 0.
+        dt: Time step, > 0 and <= t_end when t_end > 0, with at most
+            ``MAX_STEPS`` steps to t_end.
         t_end: Final time, >= 0.
         dealias: Apply the 2/3 rule around the advection products (default on).
         snapshot_times: Optional times in [0, t_end] at which to record fields;
@@ -63,6 +65,9 @@ class SolverParams:
             raise DomainError(f"t_end must be >= 0, got {self.t_end}")
         if self.t_end > 0.0 and self.dt > self.t_end:
             raise DomainError(f"dt = {self.dt} exceeds t_end = {self.t_end}")
+        if self.t_end / self.dt > MAX_STEPS:   # ⌈x⌉ > N iff x > N; inf compares too
+            raise DomainError(f"t_end / dt = {self.t_end / self.dt:.3g} exceeds "
+                              f"{MAX_STEPS} steps")
         times = tuple(sorted(float(t) for t in self.snapshot_times))
         if not all(0.0 <= t <= self.t_end for t in times):   # NaN fails too
             raise DomainError(f"snapshot times {times} must lie in [0, {self.t_end}]")

@@ -61,7 +61,10 @@ __all__ = [
     "inv_sqrt_laplacian",
     "velocity_from_theta",
     "nonlinear_term",
+    "MAX_EXTENT",
 ]
+
+MAX_EXTENT = 8192   # nodes per axis: a 8192² field is 0.5 GB, so a larger one is a typo
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +145,7 @@ def _frac_laplacian_multiplier(n_x: int, n_y: int, alpha: float):
 class GridSpec:
     """The discrete 2π-periodic torus: ``n_x × n_y`` uniform nodes.
 
-    Both extents must be even and at least 4.  Nodes sit at
+    Both extents must be even, at least 4 and at most ``MAX_EXTENT``.  Nodes sit at
     ``x_i = 2πi/n_x`` and ``y_j = 2πj/n_y``; integer wavenumbers run over
     ``{-n/2, …, n/2 - 1}`` per axis.
     """
@@ -156,6 +159,8 @@ class GridSpec:
                 raise ValueError(f"{name} must be an integer, got {n!r}")
             if n < 4 or n % 2 != 0:
                 raise ValueError(f"{name} must be an even integer >= 4, got {n}")
+            if n > MAX_EXTENT:
+                raise ValueError(f"{name} must be <= {MAX_EXTENT}, got {n}")
         object.__setattr__(self, "n_x", int(self.n_x))
         object.__setattr__(self, "n_y", int(self.n_y))
 

@@ -14,6 +14,8 @@ residual is factorised: its linear part is Σ_r e^(-r t) L_r and its bilinear
 advection term Σ_{i<=j} e^(-(r_i + r_j) t) N_ij.  Every ``L_r`` and ``N_ij``
 goes through the spectral operators once per (solution, grid); after the
 first time a residual is two weighted sums and three norms, with no FFT.
+The same factorisation makes the pattern-correlation and off-ray checks of
+θ(t) quadratic forms in the weights e^(-r t) (see :class:`_Grams`).
 
 Also here: decay-rate fits against κ·E^α, the pattern-correlation and
 unidirectionality metrics that operationalize "the flow pattern does not
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,19 +104,28 @@ def _residual_terms(sol, grid: GridSpec) -> tuple[tuple, tuple]:
     ``(r_i + r_j, N_ij)``, each term a read-only array of node values.  The
     terms are kept beside the patterns in their one-entry cache, so a
     residual at a new time costs no transform, and the terms are dropped
-    with the patterns when another (solution, grid) pair is evaluated.
+    with the patterns when another (solution, grid) pair is evaluated.  The
+    pattern spectra also give the entry's :class:`_Grams`.
+
+    A dealiased spectrum is 0 beyond column ``n_x//3`` of the half spectrum,
+    so it is cut to its leading ``n_x//3 + 1`` columns before it is inverted:
+    ``irfft2`` pads the cut columns with the same zeros and runs the y
+    transforms on the kept columns only, with bit-identical values.
     """
     entry = _sol._grid_data(sol, grid.n_x, grid.n_y)
     terms = entry.get("residual")
     if terms is None:
         patterns = entry["patterns"]
-        dealias = _multipliers(grid.n_x, grid.n_y, grid.n_x // 2 + 1).dealias
         coefs = [_to_coefficients(pattern, grid) for _, pattern in patterns]
+        direction = (sol.n, sol.m) if isinstance(sol, _sol.UnidirectionalSolution) else None
+        entry["grams"] = _pattern_grams(tuple(rate for rate, _ in patterns), coefs, grid,
+                                        direction)
+        box = grid.n_x // 3 + 1
+        dealias = _multipliers(grid.n_x, grid.n_y, box).dealias
         sums = _advection_sums(coefs, grid)
         advection = []
         for i, j in list(sums):
-            total_hat = _to_coefficients(sums.pop((i, j)), grid)
-            total_hat *= dealias
+            total_hat = _to_coefficients(sums.pop((i, j)), grid)[:, :box] * dealias
             advection.append((patterns[i][0] + patterns[j][0], _to_values(total_hat, grid)))
             del total_hat
         # Built last, so no advection work array is alive beside them.
@@ -133,21 +145,23 @@ def _advection_sums(coefs: list, grid: GridSpec) -> dict:
     """``u_i·∇P_j + u_j·∇P_i`` (``u_i·∇P_i`` for ``i = j``) per pair ``(i, j)``, ``i <= j``.
 
     ``coefs`` are the half spectra of the patterns; the velocity and the
-    gradients are taken of their dealiased parts.  Each ordered pair is added
-    in place into the sum of its unordered pair.  ``∇P_j`` is transformed
-    anew for every ``i``, so besides ``coefs`` and the sums only ``u_i``,
-    ``v_i`` and one product are alive at a time.
+    gradients are taken of their dealiased parts, cut to the ``n_x//3 + 1``
+    columns the 2/3 rule keeps.  Each ordered pair is added in place into the
+    sum of its unordered pair.  ``∇P_j`` is transformed anew for every
+    ``i``, so besides ``coefs`` and the sums only ``u_i``, ``v_i`` and one
+    product are alive at a time.
     """
-    table = _multipliers(grid.n_x, grid.n_y, grid.n_x // 2 + 1)
+    box = grid.n_x // 3 + 1
+    table = _multipliers(grid.n_x, grid.n_y, box)
 
     def dealiased_values(coef, multiplier):
-        hat = coef * multiplier
+        hat = coef[:, :box] * multiplier
         hat *= table.dealias
         return _to_values(hat, grid)
 
     sums: dict[tuple[int, int], np.ndarray] = {}
     for i, coef_i in enumerate(coefs):
-        u_hat, v_hat = _velocity_hats(coef_i * table.dealias, grid)
+        u_hat, v_hat = _velocity_hats(coef_i[:, :box] * table.dealias, grid)
         u = _to_values(u_hat, grid)
         v = _to_values(v_hat, grid)
         del u_hat, v_hat
@@ -164,6 +178,69 @@ def _advection_sums(coefs: list, grid: GridSpec) -> dict:
             sums[pair] += product
             del product
     return sums
+
+
+class _Grams(NamedTuple):
+    """Quadratic diagnostics of θ(t) = Σ_r e^(-r t) P_r as ``k × k`` matrices.
+
+    With the weights ``w_r = e^(-r t)``, a quadratic quantity of θ(t) is
+    ``w·G·w`` for the matching Gram matrix ``G``, so a check at a new time
+    costs ``O(k²)`` scalars and no field.  ``centred[i, j]`` is
+    ``⟨P_i - mean P_i, P_j - mean P_j⟩`` summed over the nodes; ``total`` and
+    ``off_ray`` are ``Σ Re(ĉ_i conj ĉ_j)`` over the full spectrum and over
+    its part off the ray of ``_off_ray_sum`` (``None`` without a direction).
+    """
+
+    rates: tuple
+    centred: np.ndarray
+    total: np.ndarray
+    off_ray: np.ndarray | None
+
+    def _weights(self, t: float) -> np.ndarray:
+        return np.array([math.exp(-rate * t) for rate in self.rates])   # as _on_grid
+
+    def correlation(self, t: float) -> float:
+        """:func:`pattern_correlation` of θ(t) against θ(0)."""
+        w, g = self._weights(t), self.centred
+        return _correlation(float(w @ g.sum(axis=1)), math.sqrt(max(w @ g @ w, 0.0)),
+                            math.sqrt(max(g.sum(), 0.0)))
+
+    def off_ray_fraction(self, t: float) -> float:
+        """:func:`unidirectionality_check` of θ(t) along the Gram's direction."""
+        w = self._weights(t)
+        total = float(w @ self.total @ w)
+        if total < 1e-300:
+            raise ZeroField("unidirectionality check of an (effectively) zero field")
+        return float(w @ self.off_ray @ w) / total
+
+
+def _pattern_grams(rates: tuple, coefs: list, grid: GridSpec,
+                   direction: tuple[int, int] | None = None) -> _Grams:
+    """The :class:`_Grams` of the patterns with half spectra ``coefs`` (Parseval).
+
+    The mean mode is left out of every sum before it is added, so a large
+    mean does not cancel against the centred part; it is on every ray.
+    """
+    k = len(coefs)
+    centred, total, off = np.zeros((k, k)), np.zeros((k, k)), np.zeros((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            cross = coefs[i].real * coefs[j].real
+            cross += coefs[i].imag * coefs[j].imag   # Re(ĉ_i conj ĉ_j)
+            mean = cross[0, 0]
+            cross[0, 0] = 0.0
+            wave = _mirror_sum(cross)
+            centred[i, j] = centred[j, i] = grid.size * wave
+            total[i, j] = total[j, i] = wave + mean
+            if direction is not None:
+                off[i, j] = off[j, i] = _off_ray_sum(cross, grid, *direction)
+    return _Grams(rates, centred, total, off if direction is not None else None)
+
+
+def _grams(sol, grid: GridSpec) -> _Grams:
+    """The :class:`_Grams` of ``sol`` on ``grid``, kept with its residual terms."""
+    _residual_terms(sol, grid)
+    return _sol._grid_data(sol, grid.n_x, grid.n_y)["grams"]
 
 
 def residual(sol, t: float, grid: GridSpec, kappa: float | None = None,
@@ -267,9 +344,14 @@ def pattern_correlation(a: PhysicalField, b: PhysicalField) -> float:
     db = b.values - b.values.mean()
     na = float(np.sqrt(np.sum(da * da)))
     nb = float(np.sqrt(np.sum(db * db)))
+    return _correlation(float(np.sum(da * db)), na, nb)
+
+
+def _correlation(dot: float, na: float, nb: float) -> float:
+    """``dot / (na nb)`` clipped to [-1, 1]; ZeroField for a norm below 1e-300."""
     if na < 1e-300 or nb < 1e-300:
         raise ZeroField("pattern correlation of an (effectively) zero field")
-    corr = float(np.sum(da * db)) / (na * nb)
+    corr = dot / (na * nb)
     return min(1.0, max(-1.0, corr))
 
 
@@ -288,14 +370,24 @@ def unidirectionality_check(f: PhysicalField, n: int, m: int) -> float:
     n, m = int(n), int(m)
     if n == 0 and m == 0:
         raise DomainError("direction (n, m) must be nonzero")
-    grid = f.grid
-    energy = np.abs(_to_coefficients(f.values, grid))**2
-    # The half spectrum stands for the full one: columns 1 … n_x/2 - 1 also
-    # stand for their mirror images (-kx, -ky), which carry the same energy.
-    mirrored = energy[:, 1:-1]
-    total = float(energy.sum() + mirrored.sum())
+    energy = np.abs(_to_coefficients(f.values, f.grid))**2
+    total = _mirror_sum(energy)
     if total < 1e-300:
         raise ZeroField("unidirectionality check of an (effectively) zero field")
+    return _off_ray_sum(energy, f.grid, n, m) / total
+
+
+def _mirror_sum(energy: np.ndarray) -> float:
+    """Sum of a half-spectrum density over the full spectrum.
+
+    Columns 1 … n_x/2 - 1 also stand for their mirror images (-kx, -ky),
+    which carry the same density; the kx = 0 and Nyquist columns count once.
+    """
+    return float(energy.sum() + energy[:, 1:-1].sum())
+
+
+def _off_ray_sum(energy: np.ndarray, grid: GridSpec, n: int, m: int) -> float:
+    """:func:`_mirror_sum` of ``energy`` over the modes off the ray through ``(n, m)``."""
     table = _multipliers(grid.n_x, grid.n_y, energy.shape[-1])
     off_ray = table.kx * m != table.ky * n   # exact: small-integer float arithmetic
     # The ray test is odd in k, so a mirror image gets its original's verdict,
@@ -304,8 +396,7 @@ def unidirectionality_check(f: PhysicalField, n: int, m: int) -> float:
     mirror_off = off_ray[:, 1:-1].copy()
     nyq = grid.n_y // 2
     mirror_off[nyq] = -table.kx[0, 1:-1] * m != table.ky[nyq, 0] * n
-    off = np.sum(energy, where=off_ray) + np.sum(mirrored, where=mirror_off)
-    return float(off) / total
+    return float(np.sum(energy, where=off_ray) + np.sum(energy[:, 1:-1], where=mirror_off))
 
 
 def solver_vs_exact(sol, params: SolverParams, grid: GridSpec) -> list[tuple[float, float]]:

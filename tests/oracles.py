@@ -12,8 +12,9 @@ to the inverse square-root Laplacian of f) all have exact closed forms on
 this class, which makes it a convenient independent check for the FFT-based
 implementation.
 
-Two spectral references sit beside them: the advection term on the full
-complex spectrum, and the residual assembled afresh at each time.
+Three spectral references sit beside them: the advection term on the full
+complex spectrum, the residual assembled afresh at each time, and the
+residual's terms built on the whole half spectrum.
 
 The module also provides seeded factories for randomized-but-valid solution
 objects, shared between the property tests and the acceptance suite.
@@ -23,8 +24,8 @@ import numpy as np
 
 from sqgkit import solutions
 from sqgkit.solutions import EigenmodeSolution, UnidirectionalSolution
-from sqgkit.spectral import (_frac_laplacian_multiplier, _nonlinear_hat, _to_coefficients,
-                             _to_values)
+from sqgkit.spectral import (_frac_laplacian_multiplier, _multipliers, _nonlinear_hat,
+                             _to_coefficients, _to_values, _velocity_hats)
 
 
 class TrigPoly:
@@ -146,6 +147,43 @@ def direct_residual(sol, t, grid, kappa=None, alpha=None):
     return (float(np.max(np.abs(resid))),
             float(np.sqrt(np.sum(resid**2) * grid.cell_area)),
             float(np.max(np.abs(_to_values(nonlin_hat, grid)))))
+
+
+def full_width_residual_terms(sol, grid):
+    """``(linear, advection)`` as ``verify._residual_terms`` gives them, built on the
+    whole half spectrum: every dealiased spectrum is inverted at its full
+    ``n_x//2 + 1`` columns.  No cache: the patterns are read, the terms are new.
+    """
+    patterns = solutions._grid_patterns(sol, grid.n_x, grid.n_y)
+    table = _multipliers(grid.n_x, grid.n_y, grid.n_x // 2 + 1)
+    coefs = [_to_coefficients(pattern, grid) for _, pattern in patterns]
+
+    def dealiased_values(coef, multiplier):
+        hat = coef * multiplier
+        hat *= table.dealias
+        return _to_values(hat, grid)
+
+    sums = {}
+    for i, coef_i in enumerate(coefs):
+        u_hat, v_hat = _velocity_hats(coef_i * table.dealias, grid)
+        u, v = _to_values(u_hat, grid), _to_values(v_hat, grid)
+        for j, coef_j in enumerate(coefs):
+            pair = (min(i, j), max(i, j))
+            product = dealiased_values(coef_j, table.ikx) * u
+            sums[pair] = sums[pair] + product if pair in sums else product
+            sums[pair] += dealiased_values(coef_j, table.iky) * v
+    advection = []
+    for (i, j), total in sums.items():
+        total_hat = _to_coefficients(total, grid)
+        total_hat *= table.dealias
+        advection.append((patterns[i][0] + patterns[j][0], _to_values(total_hat, grid)))
+    dissip = sol.kappa * _frac_laplacian_multiplier(grid.n_x, grid.n_y, sol.alpha)
+    linear = []
+    for (rate, pattern), coef in zip(patterns, coefs):
+        term = _to_values(dissip * coef, grid)
+        term -= rate * pattern
+        linear.append((rate, term))
+    return tuple(linear), tuple(advection)
 
 
 # (n, m, k) with n^2 + m^2 = k^2, used when both coefficient groups are live.
