@@ -24,6 +24,7 @@ import sys
 from .errors import ConfigError, FormatError, InvalidSolution, SqgError, UnderResolved
 from .fileio import (_TOP_KEYS, _check_levels, _section_header, parse_config, parse_grid,
                      read_field_csv, read_field_csv_time, render_contour, write_field_csv)
+from .integrator import parameter_issues
 from .scenario import builtin_scenarios, run_builtin, run_scenario
 from .solutions import builtin_samples, validate
 from .spectral import GridSpec
@@ -95,6 +96,9 @@ def _cmd_eval(args) -> int:
     _require_levels(args.levels)   # before the CSV is written
     if not math.isfinite(args.time):
         raise ConfigError([("time", f"time must be finite, got {args.time}")])
+    issues = parameter_issues(kappa=args.kappa, alpha=args.alpha)
+    if issues:   # also for a datum that has no closed form
+        raise ConfigError(issues)
     samples = builtin_samples()
     if args.solution not in samples:
         print(f"eval: unknown solution {args.solution!r}; known: "

@@ -15,7 +15,7 @@ Top-level keys::
     alpha      fractional exponent in [0, 1)                      (required)
     grid       resolution: "64" or "64x32", each extent <= 8192    (required)
     t_end      final time, >= 0                                   (required)
-    dt         time step (required when t_end > 0); t_end/dt <= 1e7 steps
+    dt         time step (required when t_end > 0), <= t_end; t_end/dt <= 1e7 steps
     snapshots  comma-separated times in [0, t_end]
     dealias    true/false (default true)
     outdir     artifact directory (default "sqg-out")
@@ -50,13 +50,12 @@ uniform white.  Identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConstraintViolation, FormatError, ParseError, UnknownKey
-from .integrator import MAX_STEPS
+from .integrator import parameter_issues
 from .solutions import (EigenmodeSolution, UnidirectionalSolution, builtin_samples,
                         validate)
 from .spectral import MAX_EXTENT, GridSpec, PhysicalField
@@ -172,42 +171,16 @@ def parse_config(text: str) -> ScenarioConfig:
             else:
                 sol_section[key] = (lineno, value)
 
-    def take_float(key, lo=None, lo_strict=None, hi_strict=None):
-        if key not in top:
-            return None
-        lineno, raw = top[key]
-        try:
-            val = float(raw)
-        except ValueError:
-            syntax.append((lineno, f"{key} must be a number, got {raw!r}"))
-            return None
-        if not math.isfinite(val):
-            semantic.append((lineno, f"{key} must be finite"))
-            return None
-        if lo is not None and val < lo:
-            semantic.append((lineno, f"{key} must be >= {lo}, got {raw}"))
-            return None
-        if lo_strict is not None and val <= lo_strict:
-            semantic.append((lineno, f"{key} must be > {lo_strict}, got {raw}"))
-            return None
-        if hi_strict is not None and val >= hi_strict:
-            semantic.append((lineno, f"{key} must be < {hi_strict}, got {raw}"))
-            return None
-        return val
-
     for key in _REQUIRED:
         if key not in top and not (key == "solution" and sol_section):
             syntax.append(("config", f"missing required key: {key}"))
 
-    kappa = take_float("kappa", lo_strict=0.0)
-    alpha = take_float("alpha", lo=0.0, hi_strict=1.0)
-    t_end = take_float("t_end", lo=0.0)
-    dt = take_float("dt", lo_strict=0.0)
-    if dt is None and "dt" not in top and t_end is not None and t_end > 0.0:
+    kappa = _take(top, "kappa", float, None, syntax)
+    alpha = _take(top, "alpha", float, None, syntax)
+    t_end = _take(top, "t_end", float, None, syntax)
+    dt = _take(top, "dt", float, None, syntax)
+    if "dt" not in top and t_end is not None and t_end > 0.0:
         syntax.append(("config", "missing required key: dt (t_end > 0)"))
-    if dt is not None and t_end is not None and t_end / dt > MAX_STEPS:
-        semantic.append((top["dt"][0], f"t_end / dt = {t_end / dt:.3g} exceeds "
-                                       f"{MAX_STEPS} steps"))
 
     grid = None
     if "grid" in top:
@@ -224,9 +197,11 @@ def parse_config(text: str) -> ScenarioConfig:
             snapshot_times = tuple(sorted(float(p) for p in raw.split(",") if p.strip()))
         except ValueError:
             syntax.append((lineno, f"snapshots must be comma-separated numbers, got {raw!r}"))
-        else:
-            if t_end is not None and not all(0.0 <= t <= t_end for t in snapshot_times):
-                semantic.append((lineno, f"snapshots {raw!r} must lie in [0, {t_end}]"))
+
+    issues = parameter_issues(kappa, alpha, dt, t_end, snapshot_times)
+    semantic += [(top[key][0], message) for key, message in issues]
+    if {"kappa", "alpha"} & {key for key, _ in issues}:
+        kappa = None   # reported here, so the [solution] section is not validated
 
     dealias = True
     if "dealias" in top:
@@ -237,18 +212,11 @@ def parse_config(text: str) -> ScenarioConfig:
         else:
             dealias = parsed
 
-    levels = 21
-    if "levels" in top:
-        lineno, raw = top["levels"]
-        try:
-            levels = int(raw)
-        except ValueError:
-            syntax.append((lineno, f"levels must be an integer, got {raw!r}"))
-        else:
-            try:
-                _check_levels(levels)
-            except ValueError as exc:
-                semantic.append((lineno, str(exc)))
+    levels = _take(top, "levels", int, 21, syntax)
+    try:
+        _check_levels(levels)
+    except ValueError as exc:
+        semantic.append((top["levels"][0], str(exc)))
 
     outputs: tuple = _OUTPUT_KINDS
     if "outputs" in top:
@@ -274,7 +242,10 @@ def parse_config(text: str) -> ScenarioConfig:
         else:
             mode = raw.lower()
 
-    corr_below = take_float("require_correlation_below", lo_strict=0.0)
+    corr_below = _take(top, "require_correlation_below", float, None, syntax)
+    if corr_below is not None and not 0.0 < corr_below < np.inf:
+        semantic.append((top["require_correlation_below"][0],
+                         f"require_correlation_below must be finite and > 0, got {corr_below}"))
 
     solution: object = None
     name = top.get("name", (0, ""))[1]
@@ -327,27 +298,30 @@ def parse_grid(text: str) -> GridSpec:
     return GridSpec(*dims)
 
 
+def _take(entries: dict, key: str, cast, default, syntax: list):
+    """``cast`` of the value of ``key`` in ``entries``; ``default`` if it is
+    absent or does not parse, which is reported in ``syntax``."""
+    if key not in entries:
+        return default
+    lineno, raw = entries[key]
+    try:
+        return cast(raw)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        syntax.append((lineno, f"{key} must be {kind}, got {raw!r}"))
+        return default
+
+
 def _parse_solution_section(section, kappa, alpha, syntax, semantic):
     if kappa is None or alpha is None:
         return None   # already reported as missing/invalid at the top level
     lineno = section[next(iter(section))][0]
     family = section.get("family", (lineno, ""))[1].lower()
-
-    def take_num(key, cast, default):
-        if key not in section:
-            return default
-        ln, raw = section[key]
-        try:
-            return cast(raw)
-        except ValueError:
-            syntax.append((ln, f"{key} must be a number, got {raw!r}"))
-            return default
-
+    n, m = (_take(section, key, int, 0, syntax) for key in ("n", "m"))
     if family == "eigenmode":
         sol = EigenmodeSolution(
-            n=take_num("n", int, 0), m=take_num("m", int, 0), k=take_num("k", int, 0),
-            kappa=kappa, alpha=alpha,
-            **{f"c{i}": take_num(f"c{i}", float, 0.0) for i in range(1, 9)})
+            n=n, m=m, k=_take(section, "k", int, 0, syntax), kappa=kappa, alpha=alpha,
+            **{f"c{i}": _take(section, f"c{i}", float, 0.0, syntax) for i in range(1, 9)})
     elif family == "unidirectional":
         modes = []
         if "modes" in section:
@@ -360,8 +334,7 @@ def _parse_solution_section(section, kappa, alpha, syntax, semantic):
                     modes.append((int(parts[0]), float(parts[1]), float(parts[2])))
                 except ValueError:
                     syntax.append((ln, f"modes entries must be k:a:b, got {triple.strip()!r}"))
-        sol = UnidirectionalSolution(n=take_num("n", int, 0), m=take_num("m", int, 0),
-                                     kappa=kappa, alpha=alpha, modes=tuple(modes))
+        sol = UnidirectionalSolution(n=n, m=m, kappa=kappa, alpha=alpha, modes=tuple(modes))
     else:
         semantic.append((lineno, f"family must be eigenmode or unidirectional, got {family!r}"))
         return None

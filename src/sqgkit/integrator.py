@@ -23,7 +23,7 @@ from .spectral import (GridSpec, PhysicalField, SpectralField, _frac_laplacian_m
                        _full_spectrum, _half_spectrum, _nonlinear_hat,
                        _to_coefficients, _to_values, _velocity_hats)
 
-__all__ = ["SolverParams", "Snapshot", "Trajectory", "step", "simulate",
+__all__ = ["SolverParams", "parameter_issues", "Snapshot", "Trajectory", "step", "simulate",
            "CFL_CONSTANT", "BLOWUP_FACTOR", "MAX_STEPS"]
 
 CFL_CONSTANT = 0.5
@@ -33,7 +33,7 @@ MAX_STEPS = 10**7   # ⌈t_end/dt⌉; at 64², 10⁷ steps already take about te
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Parameters of one run.
+    """Parameters of one run, checked by :func:`parameter_issues`.
 
     Args:
         kappa: Dissipation coefficient, > 0.
@@ -55,23 +55,44 @@ class SolverParams:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        if not (np.isfinite(self.kappa) and self.kappa > 0.0):
-            raise DomainError(f"kappa must be > 0, got {self.kappa}")
-        if not (0.0 <= self.alpha < 1.0):
-            raise DomainError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise DomainError(f"dt must be > 0, got {self.dt}")
-        if not (np.isfinite(self.t_end) and self.t_end >= 0.0):
-            raise DomainError(f"t_end must be >= 0, got {self.t_end}")
-        if self.t_end > 0.0 and self.dt > self.t_end:
-            raise DomainError(f"dt = {self.dt} exceeds t_end = {self.t_end}")
-        if self.t_end / self.dt > MAX_STEPS:   # ⌈x⌉ > N iff x > N; inf compares too
-            raise DomainError(f"t_end / dt = {self.t_end / self.dt:.3g} exceeds "
-                              f"{MAX_STEPS} steps")
         times = tuple(sorted(float(t) for t in self.snapshot_times))
-        if not all(0.0 <= t <= self.t_end for t in times):   # NaN fails too
-            raise DomainError(f"snapshot times {times} must lie in [0, {self.t_end}]")
+        issues = parameter_issues(self.kappa, self.alpha, self.dt, self.t_end, times)
+        if issues:
+            raise DomainError("; ".join(message for _, message in issues))
         object.__setattr__(self, "snapshot_times", times)
+
+
+def parameter_issues(kappa=None, alpha=None, dt=None, t_end=None,
+                     snapshot_times=()) -> list[tuple[str, str]]:
+    """``(key, message)`` for each parameter of a run outside its domain.
+
+    The one statement of the domain: κ > 0, 0 <= α < 1, dt > 0, t_end >= 0,
+    each finite; dt <= t_end when t_end > 0, at most ``MAX_STEPS`` steps to
+    t_end, and every snapshot time in [0, t_end].  A parameter given as None
+    is not checked, and NaN lies outside every range.  The dt/t_end and
+    snapshot rules need both ends valid; they report under ``dt`` and
+    ``snapshots``.
+    """
+    issues = []
+    if kappa is not None and not 0.0 < kappa < math.inf:
+        issues.append(("kappa", f"kappa must be finite and > 0, got {kappa}"))
+    if alpha is not None and not 0.0 <= alpha < 1.0:
+        issues.append(("alpha", f"alpha must lie in [0, 1), got {alpha}"))
+    dt_ok = dt is not None and 0.0 < dt < math.inf
+    if dt is not None and not dt_ok:
+        issues.append(("dt", f"dt must be finite and > 0, got {dt}"))
+    if t_end is None:
+        return issues
+    if not 0.0 <= t_end < math.inf:
+        issues.append(("t_end", f"t_end must be finite and >= 0, got {t_end}"))
+        return issues
+    if dt_ok and t_end > 0.0 and dt > t_end:
+        issues.append(("dt", f"dt = {dt} exceeds t_end = {t_end}"))
+    elif dt_ok and t_end / dt > MAX_STEPS:   # ⌈x⌉ > N iff x > N; inf compares too
+        issues.append(("dt", f"t_end / dt = {t_end / dt:.3g} exceeds {MAX_STEPS} steps"))
+    if not all(0.0 <= t <= t_end for t in snapshot_times):
+        issues.append(("snapshots", f"snapshots {snapshot_times} must lie in [0, {t_end}]"))
+    return issues
 
 
 @dataclass(frozen=True)

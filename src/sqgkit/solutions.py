@@ -52,6 +52,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import InvalidSolution
+from .integrator import parameter_issues
 from .spectral import GridSpec, PhysicalField, _node_mesh
 
 __all__ = [
@@ -157,14 +158,9 @@ _CONSTRAINT_NOTE = (
 
 
 def _check_common(sol: Solution, out: list) -> None:
-    kappa, alpha = sol.kappa, sol.alpha
-    bad_kappa = not np.isfinite(kappa) or kappa <= 0.0
-    bad_alpha = not np.isfinite(alpha) or not (0.0 <= alpha < 1.0)
-    if bad_kappa:
-        out.append(Violation("kappa", f"kappa must be > 0, got {kappa}"))
-    if bad_alpha:
-        out.append(Violation("alpha", f"alpha must lie in [0, 1), got {alpha}"))
-    if not (bad_kappa or bad_alpha):
+    issues = parameter_issues(kappa=sol.kappa, alpha=sol.alpha)
+    out.extend(Violation(key, message) for key, message in issues)
+    if not issues:
         try:
             rate = max((_rate(sol, p, q) for p, q, _, _ in _waves(sol)), default=0.0)
         except OverflowError:   # |k|² beyond the largest double

@@ -183,7 +183,8 @@ def _advection_sums(coefs: list, grid: GridSpec) -> dict:
 class _Grams(NamedTuple):
     """Quadratic diagnostics of θ(t) = Σ_r e^(-r t) P_r as ``k × k`` matrices.
 
-    With the weights ``w_r = e^(-r t)``, a quadratic quantity of θ(t) is
+    With the weights ``w_r = e^(-r t)`` (up to a common factor, see
+    ``_weights``), a quadratic quantity of θ(t) is
     ``w·G·w`` for the matching Gram matrix ``G``, so a check at a new time
     costs ``O(k²)`` scalars and no field.  ``centred[i, j]`` is
     ``⟨P_i - mean P_i, P_j - mean P_j⟩`` summed over the nodes; ``total`` and
@@ -197,7 +198,11 @@ class _Grams(NamedTuple):
     off_ray: np.ndarray | None
 
     def _weights(self, t: float) -> np.ndarray:
-        return np.array([math.exp(-rate * t) for rate in self.rates])   # as _on_grid
+        # Both checks are invariant under a positive scale of θ(t), so the
+        # weights are taken relative to the slowest rate: e^(-r t) may
+        # underflow, but the largest weight is 1.
+        low = min(self.rates, default=0.0)
+        return np.array([math.exp(-(rate - low) * t) for rate in self.rates])
 
     def correlation(self, t: float) -> float:
         """:func:`pattern_correlation` of θ(t) against θ(0)."""
@@ -412,9 +417,7 @@ def solver_vs_exact(sol, params: SolverParams, grid: GridSpec) -> list[tuple[flo
         InvalidSolution: If ``sol`` does not validate (this check requires a
             genuinely exact reference).
     """
-    report = validate(sol)
-    if not report.ok:
-        raise InvalidSolution(report)
+    _sol._require_valid(sol)
     return _solver_error(sol, _sol.eval_theta(sol, 0.0, grid), params)[1]
 
 

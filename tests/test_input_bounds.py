@@ -76,6 +76,8 @@ class TestEverySubcommandExits2:
         ["simulate", *_SOLVE, "--grid", "16384", "--t-end", "0"],
         ["simulate", *_SOLVE, "--grid", "16", "--t-end", "1", "--dt", "1e-300"],
         ["simulate", *_SOLVE, "--grid", "16", "--t-end", "0", "--levels", "1000000000"],
+        ["eval", "--solution", "con-2", "--kappa", "-1", "--alpha", "5", "--grid", "16"],
+        ["simulate", *_SOLVE, "--grid", "16", "--t-end", "0.2", "--dt", "0.5"],
     ])
     def test_flags(self, argv, tmp_path, capsys):
         argv = argv + (["--csv", str(tmp_path / "x.csv")] if argv[0] == "eval" else [])

@@ -151,3 +151,26 @@ def test_column_cut_terms_equal_the_full_width_build_bit_for_bit(name, shape):
                                                   ref_linear + ref_advection):
         assert rate == ref_rate
         assert np.array_equal(term, ref_term)
+
+
+@pytest.mark.parametrize("name, check", [("theta1", "correlation_dev"),
+                                         ("theta3", "unidirectional_offray")])
+def test_checks_of_a_field_decayed_below_the_smallest_double(name, check, tmp_path):
+    # κ = 50 decays every wave of these solutions by e^-8000 or more by t = 100.
+    config = parse_config(f"solution = {name}\nkappa = 50\nalpha = 0.3\ngrid = 16\n"
+                          f"t_end = 100\ndt = 0.01\nmode = exact\noutputs = report\n"
+                          f"outdir = {tmp_path}\n")
+    result = scenario.run_scenario(config)
+    assert result.exit_code == 0
+    assert [c.passed for c in result.checks if c.check == check and c.time == 100.0] == [True]
+
+
+def test_grams_where_every_weight_underflows():
+    grid, t = GridSpec(16, 16), 100.0
+    theta1 = verify._grams(builtin_samples()["theta1"].solution(50.0, 0.3), grid)
+    theta3 = verify._grams(builtin_samples()["theta3"].solution(50.0, 0.3), grid)
+    assert all(np.exp(-rate * t) == 0.0 for rate in theta1.rates + theta3.rates)
+    assert theta1.correlation(t) == pytest.approx(1.0, abs=1e-15)
+    # sin(x+y) outlives sin(2x+2y): θ(t) is ∝ sin(x+y), orthogonal to the other half of θ(0).
+    assert theta3.correlation(t) == pytest.approx(2.0**-0.5, abs=1e-15)
+    assert theta3.off_ray_fraction(t) <= 1e-30
