@@ -38,6 +38,19 @@ which is what taking the real part of a full complex transform amounts to.
 The solver's blowup guard uses the free bound ``sup|θ| <= Σ|c_k|`` summed over
 the full spectrum (the interior half-spectrum columns count twice) and
 inverts a state only when that bound reaches the limit.
+
+The advection term's work arrays
+--------------------------------
+With the 2/3 rule on, the advection term reads and writes only the leading
+``n_x//3 + 1`` columns of the half spectrum; without it, all ``n_x//2 + 1``.
+The inverse transforms take spectra cut to those columns, and ``irfft2`` pads
+the rest with zeros, bit for bit as if they had been stored.  Every spectrum
+of the term (the masked θ̂, ψ̂, û, v̂ and the gradients) and its node products
+live in a workspace, and the product's ``rfft2`` writes into it too.  A
+solver run builds one workspace and reuses it for every term.  Only the node
+arrays ``irfft2`` returns are new, because numpy's ``irfft2`` does not pass
+its ``out`` argument on.  Each is copied into the workspace and dropped
+before the next transform, so at most one is alive at a time.
 """
 
 from __future__ import annotations
@@ -314,13 +327,19 @@ def inverse_transform(s: SpectralField) -> PhysicalField:
 
 
 def _to_values(coef: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Internal unchecked inverse transform of a half spectrum to a bare real array."""
+    """Internal unchecked inverse transform of a half spectrum to a bare real array.
+
+    ``coef`` may hold only leading columns of the half spectrum; ``irfft2``
+    takes the missing ones as 0.  The result is always a new array: numpy's
+    ``irfft2`` does not pass its ``out`` argument on.
+    """
     return np.fft.irfft2(coef, s=grid.shape, norm="forward")
 
 
-def _to_coefficients(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Internal forward transform of real values to their half spectrum."""
-    return np.fft.rfft2(values, s=grid.shape, norm="forward")
+def _to_coefficients(values: np.ndarray, grid: GridSpec,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Internal forward transform of real values to their half spectrum, into ``out`` if given."""
+    return np.fft.rfft2(values, s=grid.shape, norm="forward", out=out)
 
 
 def _half_spectrum(coef: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -387,8 +406,8 @@ def _split_bits(grid: GridSpec) -> int:
     return max(1, math.ceil(math.log2(max(grid.n_x, grid.n_y) // 2)))
 
 
-def _truncate_mantissa(z: np.ndarray, bits: int) -> np.ndarray:
-    """Drop the low ``bits`` mantissa bits of both components of ``z``.
+def _truncate_mantissa(z: np.ndarray, bits: int, scratch: np.ndarray | None = None) -> None:
+    """Drop the low ``bits`` mantissa bits of both components of ``z``, in place.
 
     Veltkamp splitting: after truncation a product with any integer of
     magnitude <= 2^bits is exact in double precision.  Applying this to the
@@ -398,11 +417,15 @@ def _truncate_mantissa(z: np.ndarray, bits: int) -> np.ndarray:
     of evaluation order downstream.  The relative perturbation is below
     2^(bits-52) (~1e-14 for grids up to 512²), far inside every tolerance
     used by this package.
+
+    ``z`` must be C-contiguous; ``scratch``, an array of its shape and dtype,
+    holds the split point ``(2^bits + 1)·z`` (a new array without it).
     """
-    x = np.ascontiguousarray(z).view(np.float64)   # real and imaginary parts, interleaved
-    t = (float(2**bits) + 1.0) * x
-    t -= t - x
-    return t.view(complex)
+    x = z.view(np.float64)   # real and imaginary parts, interleaved
+    t = np.multiply(float(2**bits) + 1.0, x,
+                    out=None if scratch is None else scratch.view(np.float64))
+    np.subtract(t, x, out=x)
+    np.subtract(t, x, out=x)   # t - (t - x)
 
 
 def velocity_from_theta(s: SpectralField) -> tuple[SpectralField, SpectralField]:
@@ -425,30 +448,100 @@ def velocity_from_theta(s: SpectralField) -> tuple[SpectralField, SpectralField]
             SpectralField(grid, _full_spectrum(v, grid)))
 
 
-def _velocity_hats(coef: np.ndarray, grid: GridSpec):
-    """Coefficients of ``(u, v)`` for the given θ coefficients, in either layout."""
+def _velocity_hats(coef: np.ndarray, grid: GridSpec, out: tuple | None = None):
+    """Coefficients of ``(u, v)`` for the given θ coefficients, in either layout.
+
+    ``out``, if given, is ``(ψ̂, û, v̂)``: C-contiguous arrays shaped like
+    ``coef`` that receive the stream function and the velocity, so the call
+    allocates nothing.
+    """
     table = _multipliers(grid.n_x, grid.n_y, coef.shape[-1])
-    psi = _truncate_mantissa(table.inv_k * coef, _split_bits(grid))
-    v = psi * table.ikx
+    psi, u, v = (None, None, None) if out is None else out
+    psi = np.multiply(table.inv_k, coef, out=psi)
+    _truncate_mantissa(psi, _split_bits(grid), scratch=u)
+    u = np.multiply(psi, table.iky, out=u)
+    v = np.multiply(psi, table.ikx, out=v)
     np.negative(v, out=v)
-    return psi * table.iky, v
+    return u, v
 
 
-def _nonlinear_hat(coef: np.ndarray, grid: GridSpec, dealias: bool) -> np.ndarray:
-    """Half-spectrum coefficients of u·∇θ for the half-spectrum θ coefficients ``coef``."""
-    table = _multipliers(grid.n_x, grid.n_y, coef.shape[-1])
+def _advection_width(grid: GridSpec, dealias: bool) -> int:
+    """Leading half-spectrum columns the advection term reads and writes.
+
+    The 2/3 rule keeps ``|kx| <= n_x/3``, the first ``n_x//3 + 1`` columns;
+    without it the term uses the whole half spectrum.
+    """
+    return grid.n_x // 3 + 1 if dealias else grid.n_x // 2 + 1
+
+
+class _Workspace(NamedTuple):
+    """Work arrays of the advection term on one grid.
+
+    Spectra have the ``_advection_width`` leading columns; node arrays the
+    grid's shape.  ``spectrum`` is the product's whole half spectrum, as
+    ``rfft2`` writes it; it is None when the width is the whole half spectrum,
+    because the product is then transformed straight into the result.
+    """
+
+    theta: np.ndarray      # θ̂ with the 2/3 rule applied
+    psi: np.ndarray        # ψ̂, truncated in place
+    u: np.ndarray          # û, and the truncation's scratch before that
+    v: np.ndarray          # v̂
+    grad: np.ndarray       # ∂x θ̂, then ∂y θ̂
+    product: np.ndarray    # node values: u, then u ∂xθ, then u·∇θ
+    v_nodes: np.ndarray    # node values: v, then v ∂yθ
+    spectrum: np.ndarray | None
+
+
+def _workspace(grid: GridSpec, dealias: bool) -> _Workspace:
+    """New work arrays for advection terms on ``grid``.
+
+    A caller that makes many terms, such as a solver run, builds one and
+    passes it to each; it is not shared beyond that caller.
+    """
+    width = _advection_width(grid, dealias)
+    spectra = [np.empty((grid.n_y, width), dtype=complex) for _ in range(5)]
+    nodes = [np.empty(grid.shape) for _ in range(2)]
+    half = grid.n_x // 2 + 1
+    spectrum = np.empty((grid.n_y, half), dtype=complex) if width < half else None
+    return _Workspace(*spectra, *nodes, spectrum)
+
+
+def _nonlinear_hat(coef: np.ndarray, grid: GridSpec, dealias: bool,
+                   out: np.ndarray | None = None,
+                   work: _Workspace | None = None) -> np.ndarray:
+    """Half-spectrum coefficients of u·∇θ for the half-spectrum θ coefficients ``coef``.
+
+    Only the leading ``_advection_width(grid, dealias)`` columns of ``coef``
+    are read, so ``coef`` may be cut to them, and only those columns of the
+    result can be nonzero.  Without ``out`` the result is a new half spectrum;
+    with it, the kept columns are written into the leading columns of
+    ``out``.  Every intermediate lives in ``work`` (a new :func:`_workspace`
+    without it).  A call given both allocates only inside the inverse
+    transforms, and each transform's new node array is copied into ``work``
+    and dropped before the next one is made, so at most one of them is alive
+    at a time.
+    """
+    width = _advection_width(grid, dealias)
+    table = _multipliers(grid.n_x, grid.n_y, width)
+    ws = _workspace(grid, dealias) if work is None else work
+    theta = coef[:, :width]
     if dealias:
-        coef = coef * table.dealias
-    u_hat, v_hat = _velocity_hats(coef, grid)
-    adv = _to_values(u_hat, grid)
-    adv *= _to_values(coef * table.ikx, grid)
-    v = _to_values(v_hat, grid)
-    v *= _to_values(coef * table.iky, grid)
+        theta = np.multiply(theta, table.dealias, out=ws.theta)
+    u_hat, v_hat = _velocity_hats(theta, grid, out=(ws.psi, ws.u, ws.v))
+    adv, v = ws.product, ws.v_nodes
+    np.copyto(adv, _to_values(u_hat, grid))
+    adv *= _to_values(np.multiply(theta, table.ikx, out=ws.grad), grid)
+    np.copyto(v, _to_values(v_hat, grid))
+    v *= _to_values(np.multiply(theta, table.iky, out=ws.grad), grid)
     adv += v
-    result = _to_coefficients(adv, grid)
-    if dealias:
-        result *= table.dealias
-    return result
+    if not dealias:
+        return _to_coefficients(adv, grid, out=out)
+    spectrum = _to_coefficients(adv, grid, out=ws.spectrum)
+    if out is None:
+        out = np.zeros_like(spectrum)
+    np.multiply(spectrum[:, :width], table.dealias, out=out[:, :width])
+    return out
 
 
 def nonlinear_term(s: SpectralField, dealias: bool = True) -> SpectralField:
