@@ -18,6 +18,7 @@ failure).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -201,6 +202,7 @@ def _print_checks(result) -> None:
           f"exit {result.exit_code}")
 
 
+@functools.lru_cache(maxsize=1)   # built once per process; parse_args does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqg",

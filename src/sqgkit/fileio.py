@@ -35,9 +35,13 @@ top level.
 
 Field CSV format
 ----------------
-Header ``# nx,ny,t`` (the actual values), then ``n_y`` rows of ``n_x``
-comma-separated decimals with 17 significant digits — enough to reproduce the
-binary values exactly, so a read of a write is bit-identical.
+Header ``# nx,ny,t`` (the actual values, ``t`` finite), then ``n_y`` rows of
+``n_x`` comma-separated decimals with 17 significant digits — enough to
+reproduce the binary values exactly, so a read of a write is bit-identical.
+The writer formats blocks of rows.  The reader parses a canonical file in C
+(``np.loadtxt``, which converts numbers as ``float()`` does); a file that parser
+does not accept as it stands goes through a row loop, which reports every error
+with the messages it always had: the row count before the first bad row.
 
 Images
 ------
@@ -50,6 +54,9 @@ uniform white.  Identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
+import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +78,7 @@ __all__ = [
 ]
 
 MAX_LEVELS = 4096   # contour bands; the colour table is built one band at a time
+_CSV_BLOCK_VALUES = 8192   # values formatted per write: rows of a field CSV go in blocks
 
 _TOP_KEYS = {
     "solution", "kappa", "alpha", "grid", "t_end", "dt", "snapshots", "dealias",
@@ -356,22 +364,82 @@ def write_field_csv(f: PhysicalField, path, t: float = 0.0) -> None:
     Values are printed with 17 significant digits, which round-trips IEEE
     doubles exactly.
     """
-    line = ",".join(["%.17g"] * f.grid.n_x) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {f.grid.n_x},{f.grid.n_y},{t:.17g}\n")
-        for row in f.values:
-            # Row by row: tolist() of the whole array would hold every value
-            # as a Python float at once.
-            fh.write(line % tuple(row.tolist()))
+    n_x, n_y = f.grid.n_x, f.grid.n_y
+    line = b",".join([b"%.17g"] * n_x) + b"\n"
+    per_block = max(1, _CSV_BLOCK_VALUES // n_x)
+    block = line * per_block
+    with open(path, "wb") as fh:
+        fh.write(f"# {n_x},{n_y},{t:.17g}\n".encode("ascii"))
+        for start in range(0, n_y, per_block):
+            # A block at a time: tolist() of the whole array would hold every
+            # value as a Python float at once.
+            rows = f.values[start:start + per_block]
+            template = block if len(rows) == per_block else line * len(rows)
+            fh.write(template % tuple(rows.ravel().tolist()))
 
 
 def read_field_csv(path) -> PhysicalField:
     """Read a field written by :func:`write_field_csv`.
 
     Raises:
-        FormatError: Missing/malformed header, a row with the wrong value
-            count, a non-numeric or non-finite entry, or a truncated file (the
-            message names the offending row, except for non-finite entries).
+        FormatError: Missing/malformed header, a non-finite time, a row with
+            the wrong value count, a non-numeric or non-finite entry, or a
+            truncated file (the message names the offending row, except for
+            non-finite entries).
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _lines(fh, path)
+        n_x, n_y, _ = _read_header(lines, path)
+        values = None if max(n_x, n_y) > MAX_EXTENT else _load_rows(lines, n_x, n_y)
+    if values is None:
+        values = _read_rows(path)
+    grid = _header_grid(n_x, n_y, path)
+    try:
+        return PhysicalField(grid, values)
+    except ValueError as exc:   # a non-finite entry such as "nan" or "inf"
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _load_rows(lines, n_x: int, n_y: int) -> np.ndarray | None:
+    """The ``(n_y, n_x)`` values of the data ``lines`` as numpy's C parser reads
+    them, or None where it fails, warns or finds another shape.
+
+    Its numbers are ``float()``'s: both convert with ``PyOS_string_to_double``.
+    It reads the lines :func:`_lines` splits, so a row breaks where the row
+    loop's does.  Rows are capped by ``islice``, not ``max_rows``, because
+    ``loadtxt`` allocates ``max_rows`` rows up front.
+    """
+    rows = itertools.islice(_data_lines(lines), n_y + 1)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except (ValueError, Warning, FormatError):
+        return None
+    return values if values.shape == (n_y, n_x) else None
+
+
+def _data_lines(lines):
+    """The non-blank ``lines``; a unit separator (U+001F) raises ValueError.
+
+    numpy strips U+001C..U+001F around a number as whitespace, where
+    ``float()`` rejects them; ``splitlines`` already breaks lines at the other three.
+    """
+    for ln in lines:
+        if "\x1f" in ln:
+            raise ValueError("unit separator in a row")
+        if ln.strip():
+            yield ln
+
+
+def _read_rows(path) -> np.ndarray:
+    """The values of the field CSV at ``path``, parsed one ``float()`` at a time.
+
+    This loop reports every error of a field file, so :func:`read_field_csv`
+    runs it whenever numpy's parser does not accept the file as it stands.
+
+    Raises:
+        FormatError: As :func:`read_field_csv`, except for non-finite entries.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = _lines(fh, path)
@@ -400,16 +468,11 @@ def read_field_csv(path) -> PhysicalField:
                 bad_row = (f"row {count}: {exc}", exc)
     if count != n_y:
         raise FormatError(f"{path}: expected {n_y} data rows, found {count}")
-    grid = _header_grid(n_x, n_y, path)
+    _header_grid(n_x, n_y, path)
     if bad_row is not None:
         message, cause = bad_row
         raise FormatError(f"{path}: {message}") from cause
-    values = np.vstack(rows)
-    del rows   # before PhysicalField copies ``values``
-    try:
-        return PhysicalField(grid, values)
-    except ValueError as exc:   # a non-finite entry such as "nan" or "inf"
-        raise FormatError(f"{path}: {exc}") from exc
+    return np.vstack(rows)
 
 
 def read_field_csv_time(path) -> float:
@@ -446,6 +509,8 @@ def _read_header(lines, path) -> tuple[int, int, float]:
     except ValueError as exc:
         raise FormatError(f"{path}: bad header: {exc}") from exc
     _header_grid(min(n_x, MAX_EXTENT), min(n_y, MAX_EXTENT), path)
+    if not math.isfinite(t):
+        raise FormatError(f"{path}: bad header: t must be finite")
     return n_x, n_y, t
 
 
@@ -511,7 +576,8 @@ def render_contour(f: PhysicalField, path, levels: int = 21) -> None:
     bands = np.floor(scaled, out=scaled).astype(int)
     del scaled
     np.clip(bands, 0, levels - 1, out=bands)
-    pixels = _colormap_lut(levels)[bands]
+    # One 3-byte item per pixel: numpy gathers these faster than rows of 3.
+    pixels = _colormap_lut(levels).view((np.void, 3)).ravel()[bands]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{f.grid.n_x} {f.grid.n_y}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())

@@ -18,6 +18,10 @@ residual's terms built on the whole half spectrum.  The allocating IFRK4 step
 and advection term that the workspace-based ones replaced are kept too, as
 the bit-identity reference of the solver.
 
+The artifact writers the block-formatting CSV writer and the 3-byte-gather
+renderer replaced are kept as their byte-identity references: one ``str``
+template per row, and a ``(levels, 3)`` colour-table gather.
+
 The module also provides seeded factories for randomized-but-valid solution
 objects, shared between the property tests and the acceptance suite.
 """
@@ -25,6 +29,7 @@ objects, shared between the property tests and the acceptance suite.
 import numpy as np
 
 from sqgkit import solutions
+from sqgkit.fileio import _check_levels, _colormap_lut
 from sqgkit.solutions import EigenmodeSolution, UnidirectionalSolution
 from sqgkit.spectral import (_frac_laplacian_multiplier, _multipliers, _nonlinear_hat,
                              _split_bits, _to_coefficients, _to_values, _velocity_hats)
@@ -227,6 +232,29 @@ def reference_ifrk4_step(c, h, half_e, full_e, grid, dealias):
     n3 = -reference_nonlinear_hat(half_e * c + (0.5 * h) * n2, grid, dealias)
     n4 = -reference_nonlinear_hat(full_e * c + h * (half_e * n3), grid, dealias)
     return full_e * c + (h / 6.0) * (full_e * n1 + 2.0 * half_e * (n2 + n3) + n4)
+
+
+def reference_write_field_csv(f, path, t=0.0):
+    """The field CSV written one ``str`` template per row, in text mode."""
+    line = ",".join(["%.17g"] * f.grid.n_x) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {f.grid.n_x},{f.grid.n_y},{t:.17g}\n")
+        for row in f.values:
+            fh.write(line % tuple(row.tolist()))
+
+
+def reference_render_contour(f, path, levels=21):
+    """The contour PPM with each pixel's colour gathered as a row of the table."""
+    levels = int(levels)
+    _check_levels(levels)
+    vmax = float(np.max(np.abs(f.values)))
+    scaled = f.values / vmax if vmax > 0.0 else np.zeros_like(f.values)
+    bands = np.floor((scaled + 1.0) * 0.5 * levels).astype(int)
+    np.clip(bands, 0, levels - 1, out=bands)
+    pixels = _colormap_lut(levels)[bands]
+    with open(path, "wb") as fh:
+        fh.write(f"P6\n{f.grid.n_x} {f.grid.n_y}\n255\n".encode("ascii"))
+        fh.write(pixels.tobytes())
 
 
 # (n, m, k) with n^2 + m^2 = k^2, used when both coefficient groups are live.
