@@ -65,7 +65,6 @@ __all__ = [
     "eval_velocity",
     "eval_dtheta_dt",
     "theta_at",
-    "velocity_at",
     "dtheta_dt_at",
     "BuiltinSample",
     "builtin_samples",
@@ -316,12 +315,6 @@ def theta_at(sol: Solution, t: float, x, y):
     """Evaluate θ at arbitrary points (validates first).  Arrays broadcast."""
     _require_valid(sol)
     return _theta_at(sol, t, x, y)
-
-
-def velocity_at(sol: Solution, t: float, x, y):
-    """Evaluate the closed-form velocity ``(u, v)`` at arbitrary points."""
-    _require_valid(sol)
-    return _velocity_at(sol, t, x, y)
 
 
 def dtheta_dt_at(sol: Solution, t: float, x, y):

@@ -39,18 +39,20 @@ The solver's blowup guard uses the free bound ``sup|θ| <= Σ|c_k|`` summed over
 the full spectrum (the interior half-spectrum columns count twice) and
 inverts a state only when that bound reaches the limit.
 
-The advection term's work arrays
---------------------------------
-With the 2/3 rule on, the advection term reads and writes only the leading
-``n_x//3 + 1`` columns of the half spectrum; without it, all ``n_x//2 + 1``.
-The inverse transforms take spectra cut to those columns, and ``irfft2`` pads
-the rest with zeros, bit for bit as if they had been stored.  Every spectrum
-of the term (the masked θ̂, ψ̂, û, v̂ and the gradients) and its node products
-live in a workspace, and the product's ``rfft2`` writes into it too.  A
-solver run builds one workspace and reuses it for every term.  Only the node
-arrays ``irfft2`` returns are new, because numpy's ``irfft2`` does not pass
-its ``out`` argument on.  Each is copied into the workspace and dropped
-before the next transform, so at most one is alive at a time.
+The advection kernel
+--------------------
+One kernel forms every dealiased product ``u(a)·∇b`` at the nodes:
+:func:`_velocity_nodes` inverts ``u(a)`` and ``v(a)``, then each
+:func:`_advect` call inverts ``∂x b`` and ``∂y b`` and returns
+``u·∂x b + v·∂y b``, or adds those two products, in that order, into a given
+array.  The solver's term is ``a = b = θ`` (:func:`_nonlinear_hat`); the
+residual keeps one velocity per pattern and advects every pattern with it.
+With the 2/3 rule on, spectra are cut to the ``n_x//3 + 1`` columns it keeps,
+and ``irfft2`` pads the rest with zeros, bit for bit as if they had been
+stored.  Every spectrum and node product lives in a :class:`_Workspace`,
+which a solver run builds once.  Only the node arrays ``irfft2`` returns are
+new, because numpy's ``irfft2`` does not pass its ``out`` argument on; each is
+used and dropped before the next transform, so at most one is alive at a time.
 """
 
 from __future__ import annotations
@@ -475,7 +477,7 @@ def _advection_width(grid: GridSpec, dealias: bool) -> int:
 
 
 class _Workspace(NamedTuple):
-    """Work arrays of the advection term on one grid.
+    """Work arrays of the advection kernel on one grid.
 
     Spectra have the ``_advection_width`` leading columns; node arrays the
     grid's shape.  ``spectrum`` is the product's whole half spectrum, as
@@ -484,27 +486,50 @@ class _Workspace(NamedTuple):
     """
 
     theta: np.ndarray      # θ̂ with the 2/3 rule applied
-    psi: np.ndarray        # ψ̂, truncated in place
+    psi: np.ndarray        # ψ̂, truncated in place; then ∂x b̂ and ∂y b̂
     u: np.ndarray          # û, and the truncation's scratch before that
     v: np.ndarray          # v̂
-    grad: np.ndarray       # ∂x θ̂, then ∂y θ̂
-    product: np.ndarray    # node values: u, then u ∂xθ, then u·∇θ
-    v_nodes: np.ndarray    # node values: v, then v ∂yθ
+    u_nodes: np.ndarray    # node values of u(a) and v(a)
+    v_nodes: np.ndarray
+    product: np.ndarray    # node values of u·∂x b, then u·∇b
     spectrum: np.ndarray | None
 
 
 def _workspace(grid: GridSpec, dealias: bool) -> _Workspace:
-    """New work arrays for advection terms on ``grid``.
-
-    A caller that makes many terms, such as a solver run, builds one and
-    passes it to each; it is not shared beyond that caller.
-    """
+    """New work arrays for the advection kernel on ``grid``; one caller uses them."""
     width = _advection_width(grid, dealias)
-    spectra = [np.empty((grid.n_y, width), dtype=complex) for _ in range(5)]
-    nodes = [np.empty(grid.shape) for _ in range(2)]
+    spectra = [np.empty((grid.n_y, width), dtype=complex) for _ in range(4)]
+    nodes = [np.empty(grid.shape) for _ in range(3)]
     half = grid.n_x // 2 + 1
     spectrum = np.empty((grid.n_y, half), dtype=complex) if width < half else None
     return _Workspace(*spectra, *nodes, spectrum)
+
+
+def _velocity_nodes(a: np.ndarray, grid: GridSpec, ws: _Workspace) -> None:
+    """Write the node values of ``u(a)`` and ``v(a)`` into ``ws`` for a cut spectrum ``a``."""
+    u_hat, v_hat = _velocity_hats(a, grid, out=(ws.psi, ws.u, ws.v))
+    np.copyto(ws.u_nodes, _to_values(u_hat, grid))
+    np.copyto(ws.v_nodes, _to_values(v_hat, grid))
+
+
+def _advect(b: np.ndarray, grid: GridSpec, ws: _Workspace,
+            acc: np.ndarray | None = None) -> np.ndarray:
+    """Node values of ``u·∂x b + v·∂y b`` with the velocity of :func:`_velocity_nodes`.
+
+    ``b`` is a spectrum cut like the velocity's.  Without ``acc`` the result
+    is written into ``ws.product``; with it, ``u·∂x b`` and then ``v·∂y b``
+    are added into ``acc`` in place.  Either way the array is returned.
+    """
+    table = _multipliers(grid.n_x, grid.n_y, b.shape[-1])
+    nodes = _to_values(np.multiply(b, table.ikx, out=ws.psi), grid)
+    if acc is None:
+        acc = np.multiply(ws.u_nodes, nodes, out=ws.product)
+    else:
+        acc += np.multiply(ws.u_nodes, nodes, out=nodes)
+    del nodes   # dropped before the next transform makes its own
+    nodes = _to_values(np.multiply(b, table.iky, out=ws.psi), grid)
+    acc += np.multiply(ws.v_nodes, nodes, out=nodes)
+    return acc
 
 
 def _nonlinear_hat(coef: np.ndarray, grid: GridSpec, dealias: bool,
@@ -517,10 +542,7 @@ def _nonlinear_hat(coef: np.ndarray, grid: GridSpec, dealias: bool,
     result can be nonzero.  Without ``out`` the result is a new half spectrum;
     with it, the kept columns are written into the leading columns of
     ``out``.  Every intermediate lives in ``work`` (a new :func:`_workspace`
-    without it).  A call given both allocates only inside the inverse
-    transforms, and each transform's new node array is copied into ``work``
-    and dropped before the next one is made, so at most one of them is alive
-    at a time.
+    without it), so a call given both allocates only inside the transforms.
     """
     width = _advection_width(grid, dealias)
     table = _multipliers(grid.n_x, grid.n_y, width)
@@ -528,13 +550,8 @@ def _nonlinear_hat(coef: np.ndarray, grid: GridSpec, dealias: bool,
     theta = coef[:, :width]
     if dealias:
         theta = np.multiply(theta, table.dealias, out=ws.theta)
-    u_hat, v_hat = _velocity_hats(theta, grid, out=(ws.psi, ws.u, ws.v))
-    adv, v = ws.product, ws.v_nodes
-    np.copyto(adv, _to_values(u_hat, grid))
-    adv *= _to_values(np.multiply(theta, table.ikx, out=ws.grad), grid)
-    np.copyto(v, _to_values(v_hat, grid))
-    v *= _to_values(np.multiply(theta, table.iky, out=ws.grad), grid)
-    adv += v
+    _velocity_nodes(theta, grid, ws)
+    adv = _advect(theta, grid, ws)
     if not dealias:
         return _to_coefficients(adv, grid, out=out)
     spectrum = _to_coefficients(adv, grid, out=ws.spectrum)

@@ -34,8 +34,8 @@ from . import solutions as _sol
 from .errors import DegenerateFit, DomainError, InvalidSolution, UnderResolved, ZeroField
 from .integrator import SolverParams, Trajectory, simulate
 from .solutions import ValidationReport, validate
-from .spectral import (GridSpec, PhysicalField, _frac_laplacian_multiplier, _multipliers,
-                       _to_coefficients, _to_values, _velocity_hats)
+from .spectral import (GridSpec, PhysicalField, _advect, _frac_laplacian_multiplier,
+                       _multipliers, _to_coefficients, _to_values, _velocity_nodes, _workspace)
 
 __all__ = [
     "ResidualReport",
@@ -107,14 +107,17 @@ def _residual_terms(sol, grid: GridSpec) -> tuple[tuple, tuple]:
     with the patterns when another (solution, grid) pair is evaluated.  The
     pattern spectra also give the entry's :class:`_Grams`.
 
-    A dealiased spectrum is 0 beyond column ``n_x//3`` of the half spectrum,
-    so it is cut to its leading ``n_x//3 + 1`` columns before it is inverted:
-    ``irfft2`` pads the cut columns with the same zeros and runs the y
-    transforms on the kept columns only, with bit-identical values.
+    The pair sums come from the advection kernel of :mod:`sqgkit.spectral`
+    on spectra cut to the ``n_x//3 + 1`` columns the 2/3 rule keeps: each
+    ``u_i`` is inverted once, and each ordered pair ``(i, j)`` adds
+    ``u_i·∇P_j`` into the sum of its unordered pair.
     """
     entry = _sol._grid_data(sol, grid.n_x, grid.n_y)
     terms = entry.get("residual")
     if terms is None:
+        # Made before everything the build keeps: freed below the kept terms,
+        # its memory is reused by the next build instead of faulted in anew.
+        ws = _workspace(grid, True)
         patterns = entry["patterns"]
         coefs = [_to_coefficients(pattern, grid) for _, pattern in patterns]
         direction = (sol.n, sol.m) if isinstance(sol, _sol.UnidirectionalSolution) else None
@@ -122,62 +125,42 @@ def _residual_terms(sol, grid: GridSpec) -> tuple[tuple, tuple]:
                                         direction)
         box = grid.n_x // 3 + 1
         dealias = _multipliers(grid.n_x, grid.n_y, box).dealias
-        sums = _advection_sums(coefs, grid)
+        sums: dict[tuple[int, int], np.ndarray] = {}
+        for i, coef_i in enumerate(coefs):
+            _velocity_nodes(np.multiply(coef_i[:, :box], dealias, out=ws.theta), grid, ws)
+            for j, coef_j in enumerate(coefs):
+                b = np.multiply(coef_j[:, :box], dealias, out=ws.theta)
+                pair = (min(i, j), max(i, j))
+                if pair in sums:
+                    _advect(b, grid, ws, acc=sums[pair])
+                else:   # the sum keeps the workspace's product array
+                    sums[pair] = _advect(b, grid, ws)
+                    ws = ws._replace(product=np.empty(grid.shape))
         advection = []
         for i, j in list(sums):
-            total_hat = _to_coefficients(sums.pop((i, j)), grid)[:, :box] * dealias
-            advection.append((patterns[i][0] + patterns[j][0], _to_values(total_hat, grid)))
-            del total_hat
+            _to_coefficients(sums.pop((i, j)), grid, out=ws.spectrum)
+            np.multiply(ws.spectrum[:, :box], dealias, out=ws.theta)
+            advection.append((patterns[i][0] + patterns[j][0], _to_values(ws.theta, grid)))
+        del ws
         # Built last, so no advection work array is alive beside them.
-        dissip = sol.kappa * _frac_laplacian_multiplier(grid.n_x, grid.n_y, sol.alpha)
+        mult = _frac_laplacian_multiplier(grid.n_x, grid.n_y, sol.alpha)
         linear = []
-        for rate, pattern in patterns:
-            term = _to_values(dissip * coefs.pop(0), grid)
-            term -= rate * pattern
-            linear.append((rate, term))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dissip = sol.kappa * mult
+            # κ|k|^(2α) overflows only off the waves, whose rates are finite,
+            # so there ĉ is round-off and κ·(|k|^(2α)·ĉ) stays finite.
+            huge = np.isinf(dissip)
+            for rate, pattern in patterns:
+                coef = coefs.pop(0)
+                hat = dissip * coef
+                hat[huge] = sol.kappa * (mult[huge] * coef[huge])
+                term = _to_values(hat, grid)
+                term -= rate * pattern
+                linear.append((rate, term))
         for _, term in linear + advection:
             term.setflags(write=False)
         terms = entry["residual"] = (tuple(linear), tuple(advection))
     return terms
-
-
-def _advection_sums(coefs: list, grid: GridSpec) -> dict:
-    """``u_i·∇P_j + u_j·∇P_i`` (``u_i·∇P_i`` for ``i = j``) per pair ``(i, j)``, ``i <= j``.
-
-    ``coefs`` are the half spectra of the patterns; the velocity and the
-    gradients are taken of their dealiased parts, cut to the ``n_x//3 + 1``
-    columns the 2/3 rule keeps.  Each ordered pair is added in place into the
-    sum of its unordered pair.  ``∇P_j`` is transformed anew for every
-    ``i``, so besides ``coefs`` and the sums only ``u_i``, ``v_i`` and one
-    product are alive at a time.
-    """
-    box = grid.n_x // 3 + 1
-    table = _multipliers(grid.n_x, grid.n_y, box)
-
-    def dealiased_values(coef, multiplier):
-        hat = coef[:, :box] * multiplier
-        hat *= table.dealias
-        return _to_values(hat, grid)
-
-    sums: dict[tuple[int, int], np.ndarray] = {}
-    for i, coef_i in enumerate(coefs):
-        u_hat, v_hat = _velocity_hats(coef_i[:, :box] * table.dealias, grid)
-        u = _to_values(u_hat, grid)
-        v = _to_values(v_hat, grid)
-        del u_hat, v_hat
-        for j, coef_j in enumerate(coefs):
-            pair = (min(i, j), max(i, j))
-            product = dealiased_values(coef_j, table.ikx)
-            product *= u
-            if pair in sums:
-                sums[pair] += product
-            else:
-                sums[pair] = product
-            product = dealiased_values(coef_j, table.iky)
-            product *= v
-            sums[pair] += product
-            del product
-    return sums
 
 
 class _Grams(NamedTuple):
@@ -286,14 +269,19 @@ def residual(sol, t: float, grid: GridSpec, kappa: float | None = None,
     linear, advection = _residual_terms(sol, grid)
     work = np.empty(grid.shape)
     nonlin = np.zeros(grid.shape)
+    # A pair's rate r_i + r_j may overflow to inf, and inf·0 is NaN: at t = 0
+    # every weight is 1.
     for rate, term in advection:
-        nonlin += np.multiply(math.exp(-rate * t), term, out=work)
+        nonlin += np.multiply(math.exp(-rate * t) if t else 1.0, term, out=work)
     nonlinear_linf = float(np.max(np.abs(nonlin)))
     resid = nonlin
     for rate, term in linear:
         resid += np.multiply(math.exp(-rate * t), term, out=work)
     l_inf = float(np.max(np.abs(resid)))
-    l2 = float(np.sqrt(np.sum(resid**2) * grid.cell_area))
+    with np.errstate(over="ignore"):
+        l2 = float(np.sqrt(np.sum(resid**2) * grid.cell_area))
+    if math.isinf(l2) and math.isfinite(l_inf):   # the squares overflowed
+        l2 = l_inf * float(np.sqrt(np.sum((resid / l_inf)**2) * grid.cell_area))
     return ResidualReport(t=float(t), l_inf=l_inf, l2=l2,
                           nonlinear_linf=nonlinear_linf, grid=grid)
 

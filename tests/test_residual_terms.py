@@ -2,6 +2,9 @@
 
 import gc
 import math
+import subprocess
+import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -154,3 +157,36 @@ class TestTermCache:
         solutions._GRID_DATA.clear()
         cold = [verify.residual(a, t, grid64) for t in (0.0, 0.6, 9.0)]
         assert warm == cold
+
+
+class TestHugeKappa:
+    def test_overflowing_dissipation_gives_a_finite_failing_row(self, tmp_path):
+        # The wave's rate, 1e308, is finite, but κ|k|^(2α) overflows on the
+        # grid's higher modes, where the pattern's spectrum is round-off.
+        (tmp_path / "huge.cfg").write_text(
+            "kappa = 1e308\nalpha = 0.3\ngrid = 16\nt_end = 1\ndt = 0.1\nmode = exact\n"
+            "outputs = report\noutdir = out\n"
+            "[solution]\nfamily = unidirectional\nn = 1\nm = 0\nmodes = 1:0.5:0.2\n")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "sqgkit.cli", "scenario",
+             "huge.cfg"], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert proc.stderr == ""
+        assert proc.returncode == 1, proc.stdout
+        rows = [line.split(",") for line in
+                (tmp_path / "out" / "report.csv").read_text().splitlines()[1:]]
+        residuals = {row[2]: (float(row[3]), row[5]) for row in rows if row[0] == "residual_linf"}
+        assert set(residuals) == {"0", "1"}
+        assert all(math.isfinite(value) for value, _ in residuals.values())
+        assert residuals["0"][1] == "fail" and residuals["0"][0] > 1e-10
+        assert residuals["1"] == (0.0, "pass")
+
+    def test_norms_are_finite_without_a_warning(self):
+        sol = UnidirectionalSolution(n=1, m=0, kappa=1e308, alpha=0.3, modes=((1, 0.5, 0.2),))
+        grid = GridSpec(16, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify.residual(sol, 0.0, grid)
+        assert all(math.isfinite(x) for x in (rep.l_inf, rep.l2, rep.nonlinear_linf))
+        # The squares of a residual this large overflow; its l2 norm does not.
+        assert rep.l_inf > 1e200
+        assert rep.l_inf * math.sqrt(grid.cell_area) <= rep.l2 <= 2 * math.pi * rep.l_inf
