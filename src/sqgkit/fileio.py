@@ -38,10 +38,15 @@ Field CSV format
 Header ``# nx,ny,t`` (the actual values, ``t`` finite), then ``n_y`` rows of
 ``n_x`` comma-separated decimals with 17 significant digits — enough to
 reproduce the binary values exactly, so a read of a write is bit-identical.
-The writer formats blocks of rows.  The reader parses a canonical file in C
-(``np.loadtxt``, which converts numbers as ``float()`` does); a file that parser
-does not accept as it stands goes through a row loop, which reports every error
-with the messages it always had: the row count before the first bad row.
+The writer prints each number as ``%.17g`` does, in numpy: a value of
+magnitude in [1e-5, 1e17) from its exact 17 digits (Dekker's error-free
+product of the value and a power of ten, rounded half to even), laid out by a
+mask per exponent; 0 and other magnitudes go through ``%`` one at a time.  A
+non-finite ``t`` is refused before the file is opened.  The reader parses a
+canonical file in C (``np.loadtxt``, which converts numbers as ``float()``
+does); a file that parser does not accept as it stands goes through a row
+loop, which reports every error with the messages it always had: the row
+count before the first bad row.
 
 Images
 ------
@@ -58,10 +63,11 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConstraintViolation, FormatError, ParseError, UnknownKey
+from .errors import ConstraintViolation, DomainError, FormatError, ParseError, UnknownKey
 from .integrator import parameter_issues
 from .solutions import (EigenmodeSolution, UnidirectionalSolution, builtin_samples,
                         validate)
@@ -78,7 +84,7 @@ __all__ = [
 ]
 
 MAX_LEVELS = 4096   # contour bands; the colour table is built one band at a time
-_CSV_BLOCK_VALUES = 8192   # values formatted per write: rows of a field CSV go in blocks
+_CSV_BLOCK_VALUES = 2048   # values formatted per write, about 200 bytes each meanwhile
 
 _TOP_KEYS = {
     "solution", "kappa", "alpha", "grid", "t_end", "dt", "snapshots", "dealias",
@@ -361,21 +367,149 @@ def _parse_solution_section(section, kappa, alpha, syntax, semantic):
 def write_field_csv(f: PhysicalField, path, t: float = 0.0) -> None:
     """Write a field as CSV: header ``# nx,ny,t`` then n_y rows of n_x values.
 
-    Values are printed with 17 significant digits, which round-trips IEEE
-    doubles exactly.
+    Every number is printed as ``%.17g`` prints it, which round-trips IEEE
+    doubles exactly.  The values go in blocks of ``_CSV_BLOCK_VALUES``.
+
+    Raises:
+        DomainError: ``t`` is not finite; no file is written.
     """
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
     n_x, n_y = f.grid.n_x, f.grid.n_y
-    line = b",".join([b"%.17g"] * n_x) + b"\n"
-    per_block = max(1, _CSV_BLOCK_VALUES // n_x)
-    block = line * per_block
+    values = f.values.reshape(-1)
     with open(path, "wb") as fh:
         fh.write(f"# {n_x},{n_y},{t:.17g}\n".encode("ascii"))
-        for start in range(0, n_y, per_block):
-            # A block at a time: tolist() of the whole array would hold every
-            # value as a Python float at once.
-            rows = f.values[start:start + per_block]
-            template = block if len(rows) == per_block else line * len(rows)
-            fh.write(template % tuple(rows.ravel().tolist()))
+        for start in range(0, values.size, _CSV_BLOCK_VALUES):
+            fh.write(_csv_text(values[start:start + _CSV_BLOCK_VALUES], n_x, start))
+
+
+# Each value is laid out in a record of 13 four-byte words that holds the text
+# of every layout ``%.17g`` gives a value in [1e-5, 1e17), in order; a mask
+# per (sign, decimal exponent X, last non-zero digit) keeps one of them:
+#   byte 0        "-"
+#   bytes 1-3     "0.0"            X < 0: "0." and a first leading zero
+#   bytes 4-7     "000" d0         two more leading zeros (byte 6 unused), digit 0
+#   bytes 8-23    d1 .. d16        X < 0: the fraction; X >= 0: the integer part
+#   bytes 24-27   "...."           the point of X >= 0 and of X = -5 (byte 27)
+#   bytes 28-43   d1 .. d16        the digits after that point
+#   bytes 44-47   "e-05"           X = -5
+#   byte 48       "," or newline
+_RECORD = np.frombuffer(b"-0.0" + bytes(20) + b"...." + bytes(16) + b"e-05,\0\0\0", np.uint32)
+_NEWLINE = np.frombuffer(b"\n\0\0\0", np.uint32)[0]
+_POW10 = np.array([float(10**k) for k in range(23)])   # exact doubles
+
+
+def _split(a):
+    """Veltkamp's split of ``a`` into two halves of 26 bits: ``a = hi + lo``."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+@lru_cache(maxsize=None)
+def _csv_tables():
+    """The text of each 4-digit group as one word, the index of its last
+    non-zero digit (-99 for 0000), and the record's masks, the one for a
+    sign bit s, exponent X and last non-zero digit L in row
+    ``(22·s + X + 5)·17 + L``."""
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), axis=-1)
+    nonzero = quads.reshape(-1, 4) != ord("0")
+    last = np.where(nonzero.any(axis=1), 3 - nonzero[:, ::-1].argmax(axis=1), -99)
+    # rank[X + 5, b]: byte b is kept when rank <= the last non-zero digit
+    # (-1: always, 99: never); a digit after the point ranks as its index.
+    rank = np.full((22, 4 * _RECORD.size), 99, dtype=np.int8)
+    rank[:, 48] = -1
+    for x, row in zip(range(-5, 17), rank):
+        if x == -5:      # d.ddde-05
+            row[7], row[27], row[28:44], row[44:48] = -1, 1, np.arange(1, 17), -1
+        elif x < 0:      # 0.000ddd
+            row[1:2 - x], row[7], row[8:24] = -1, -1, np.arange(1, 17)
+        else:            # ddd.ddd
+            row[7:8 + x], row[27], row[28 + x:44] = -1, x + 1, np.arange(x + 1, 17)
+    keep = rank[:, None, :] <= np.arange(17, dtype=np.int8)[:, None]
+    keep = np.stack([keep, keep])
+    keep[..., 0] = [[[False]], [[True]]]
+    tables = quads.view(np.uint32).ravel(), last.astype(np.int8), keep.reshape(-1, keep.shape[-1])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _csv_text(values: np.ndarray, n_x: int, start: int) -> bytes:
+    """The text of ``values``, a field's flat values from index ``start`` on in
+    rows of ``n_x``: each as ``%.17g`` prints it, then ``,`` or, where a row
+    ends, a newline.
+
+    Each ``|v|`` in [1e-5, 1e17) is printed from its exact 17 digits
+    (:func:`_decimal_digits`); 0 and the rest go through ``%`` one at a time.
+    """
+    quads, last_digit, masks = _csv_tables()
+    magnitude = np.abs(values)
+    others = np.flatnonzero(~((magnitude >= 1e-5) & (magnitude < 1e17)))
+    magnitude[others] = 1.0
+    digits, exponent = _decimal_digits(magnitude)
+    words = np.empty((values.size, _RECORD.size), dtype=np.uint32)
+    words[:] = _RECORD
+    words[(n_x - 1 - start) % n_x::n_x, -1] = _NEWLINE
+    lead = digits // 10**16
+    words[:, 1] = quads[lead]
+    rest = digits - lead * 10**16
+    last = np.zeros(values.size, dtype=np.int8)
+    for w in range(1, 5):
+        scale = 10 ** (16 - 4 * w)
+        group = rest // scale
+        rest -= group * scale
+        words[:, 1 + w] = words[:, 6 + w] = quads[group]
+        np.maximum(last, last_digit[group] + np.int8(4 * w - 3), out=last)
+    keep = masks[(np.signbit(values) * 22 + exponent + 5) * 17 + last]
+    chars = words.view(np.uint8)
+    for i in others:
+        text = b"%.17g" % values[i]
+        chars[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+        keep[i, :-4] = False   # all but the separator
+        keep[i, :len(text)] = True
+    return chars[keep].tobytes()
+
+
+def _decimal_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(N, X)`` with ``N·10^(X-16)`` each ``a`` in [1e-5, 1e17) rounded half
+    to even to 17 digits, 10^16 <= N < 10^17.
+
+    X starts as ⌊log10 a⌋, which may be one off near a power of ten; the
+    exact product a·10^(16-X) tells, and those that are off are redone.
+    """
+    x = np.log10(a)
+    np.floor(x, out=x)
+    np.clip(x, -5, 16, out=x)
+    x = x.astype(np.intp)
+    hi, lo = _scaled(a, x)
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    off = np.flatnonzero(below | above)
+    x[off] += np.where(above[off], 1, -1)
+    hi[off], lo[off] = _scaled(a[off], x[off])
+    # hi is an even integer, as doubles in [1e16, 1e17] are 2 to 16 apart, so
+    # rounding lo half to even rounds hi + lo half to even.
+    n = hi.astype(np.int64)
+    n += np.rint(lo).astype(np.int64)
+    carry = n == 10**17
+    n[carry] = 10**16
+    x += carry
+    return n, x
+
+
+def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a·10^(16-x)`` as the exact sum ``hi + lo``: Dekker's TwoProduct, with
+    ``10^(16-x)`` an exact double for ``x >= -6``."""
+    k = 16 - x
+    hi = a * _POW10[k]
+    a_hi, a_lo = _split(a)
+    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+    return hi, ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
 
 
 def read_field_csv(path) -> PhysicalField:
@@ -395,7 +529,7 @@ def read_field_csv(path) -> PhysicalField:
         values = _read_rows(path)
     grid = _header_grid(n_x, n_y, path)
     try:
-        return PhysicalField(grid, values)
+        return PhysicalField._owning(grid, values)
     except ValueError as exc:   # a non-finite entry such as "nan" or "inf"
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -484,10 +618,19 @@ def read_field_csv_time(path) -> float:
 
 
 def _lines(fh, path):
-    """The lines of ``fh`` as ``fh.read().splitlines()`` gives them, one at a time."""
+    """The lines of ``fh`` as ``fh.read().splitlines()`` gives them, one at a time.
+
+    A printable line holds none of the other breaks ``splitlines`` knows
+    (U+000B, U+000C, U+001C..U+001E, U+0085, U+2028, U+2029), so only the
+    rest are split again.
+    """
     try:
         for line in fh:
-            yield from line.splitlines()
+            body = line[:-1] if line.endswith("\n") else line
+            if body.isprintable():
+                yield body
+            else:
+                yield from line.splitlines()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
 

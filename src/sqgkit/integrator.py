@@ -292,8 +292,7 @@ def _guard_blowup(c: np.ndarray, grid: GridSpec, t: float, linf0: float) -> None
 
 
 def _record(snapshots: list, t: float, c: np.ndarray, grid: GridSpec) -> None:
-    values = _to_values(c, grid)
-    field = PhysicalField(grid, values)
+    field = PhysicalField._owning(grid, _to_values(c, grid))
     snapshots.append(Snapshot(t=t, field=field, l2=field.l2_norm(),
                               l_inf=field.linf_norm(), mean=field.mean()))
 

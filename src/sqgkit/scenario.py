@@ -83,6 +83,13 @@ def _single_eigenvalue(sol) -> float | None:
     return float(rates.pop()) if len(rates) == 1 else None
 
 
+def _time_tag(t: float) -> str:
+    """``t`` in an artifact name: ``{t:g}`` where that reads back as ``t``,
+    else all 17 digits, so two snapshot times never share a file."""
+    short = f"{t:g}"
+    return short if float(short) == t else f"{t:.17g}"
+
+
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Execute one scenario and write its artifacts.
 
@@ -145,7 +152,7 @@ def _run(config: ScenarioConfig) -> tuple[list, list]:
                               snapshot_times=tuple(times))
 
     def emit(field, t, prefix=name):
-        base = os.path.join(config.outdir, f"{prefix}_t{t:g}")
+        base = os.path.join(config.outdir, f"{prefix}_t{_time_tag(t)}")
         if "csv" in config.outputs:
             write_field_csv(field, base + ".csv", t=t)
             artifacts.append(base + ".csv")

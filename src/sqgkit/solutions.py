@@ -390,7 +390,7 @@ def eval_theta(sol: Solution, t: float, grid: GridSpec) -> PhysicalField:
         InvalidSolution: If :func:`validate` reports any violation.
     """
     _require_valid(sol)
-    return PhysicalField(grid, _on_grid(sol, t, grid))
+    return PhysicalField._owning(grid, _on_grid(sol, t, grid))
 
 
 def eval_velocity(sol: Solution, t: float, grid: GridSpec) -> tuple[PhysicalField, PhysicalField]:
@@ -417,7 +417,7 @@ def eval_dtheta_dt(sol: Solution, t: float, grid: GridSpec) -> PhysicalField:
         InvalidSolution: If validation fails.
     """
     _require_valid(sol)
-    return PhysicalField(grid, _on_grid(sol, t, grid, d_dt=True))
+    return PhysicalField._owning(grid, _on_grid(sol, t, grid, d_dt=True))
 
 
 # --------------------------------------------------------------------------

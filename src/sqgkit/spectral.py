@@ -221,15 +221,17 @@ class PhysicalField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.size != self.grid.size:
-            raise ValueError(
-                f"expected {self.grid.size} values for a {self.grid.n_x}x{self.grid.n_y} "
-                f"grid, got {vals.size}")
-        vals = vals.reshape(self.grid.shape).copy()
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must all be finite")
-        object.__setattr__(self, "values", vals)
+        values = np.array(self.values, dtype=float)
+        object.__setattr__(self, "values", _checked_values(self.grid, values))
+
+    @classmethod
+    def _owning(cls, grid: GridSpec, values: np.ndarray) -> "PhysicalField":
+        """A field that keeps ``values`` itself, for an array nothing else holds;
+        checked as the constructor checks."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "values", _checked_values(grid, values))
+        return field
 
     @classmethod
     def from_function(cls, grid: GridSpec, fn) -> "PhysicalField":
@@ -246,6 +248,24 @@ class PhysicalField:
 
     def mean(self) -> float:
         return float(np.mean(self.values))
+
+
+def _checked_values(grid: GridSpec, values) -> np.ndarray:
+    """``values`` as a float array of ``grid.shape``; a C-contiguous float
+    array is kept, not copied.
+
+    Raises:
+        ValueError: The value count does not match the grid, or an entry is
+            not finite.
+    """
+    vals = np.asarray(values, dtype=float)
+    if vals.size != grid.size:
+        raise ValueError(
+            f"expected {grid.size} values for a {grid.n_x}x{grid.n_y} grid, got {vals.size}")
+    vals = vals.reshape(grid.shape)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("field values must all be finite")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -325,7 +345,8 @@ def inverse_transform(s: SpectralField) -> PhysicalField:
         raise SymmetryViolation(
             f"Hermitian symmetry defect {defect:.3e} exceeds tolerance "
             f"{1e-8 * max(1.0, scale):.3e}")
-    return PhysicalField(s.grid, _to_values(_half_spectrum(s.coefficients, s.grid), s.grid))
+    values = _to_values(_half_spectrum(s.coefficients, s.grid), s.grid)
+    return PhysicalField._owning(s.grid, values)
 
 
 def _to_values(coef: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from sqgkit.errors import ConstraintViolation, FormatError, ParseError, UnknownKey
 from sqgkit.fileio import (
+    _lines,
     parse_config,
     read_field_csv,
     read_field_csv_time,
@@ -282,6 +283,15 @@ class TestFieldCsv:
         p.write_text("# 100000,100000,0\n0,0\n0,0\n")
         with pytest.raises(FormatError, match="expected 100000 data rows, found 2"):
             read_field_csv(p)
+
+    @pytest.mark.parametrize("brk", ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\u2028", "\u2029"])
+    def test_lines_break_where_splitlines_does(self, brk, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text(f"# 4,4,0\n1,2{brk}3,4\n\n5,\t6,7,8{brk}\n9 ,10{brk}", encoding="utf-8",
+                     newline="")
+        with open(p, encoding="utf-8") as fh, open(p, encoding="utf-8") as whole:
+            assert list(_lines(fh, p)) == whole.read().splitlines()
 
     def test_crlf_and_blank_lines(self, tmp_path):
         p = tmp_path / "crlf.csv"

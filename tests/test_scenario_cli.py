@@ -52,6 +52,17 @@ class TestRunScenario:
         f = read_field_csv(csvs[0])
         assert f.grid == GridSpec(32, 32)
 
+    def test_close_snapshot_times_get_their_own_files(self, tmp_path):
+        # Both times print as 0.1 with {:g}; the second keeps all 17 digits.
+        cfg = parse_config(f"solution = theta1\nkappa = 0.001\nalpha = 0.001\ngrid = 16\n"
+                           f"t_end = 0.5\ndt = 0.01\nsnapshots = 0.1, 0.1000001\n"
+                           f"mode = exact\noutputs = csv\noutdir = {tmp_path / 'out'}\n")
+        result = run_scenario(cfg)
+        names = [os.path.basename(p) for p in result.artifacts]
+        assert names == ["theta1_t0.csv", "theta1_t0.1.csv",
+                         "theta1_t0.10000009999999999.csv", "theta1_t0.5.csv"]
+        assert [read_field_csv_time(p) for p in result.artifacts] == [0.0, 0.1, 0.1000001, 0.5]
+
     def test_unidirectional_check_rows_appear(self, tmp_path):
         cfg = parse_config(textwrap.dedent(f"""
             solution = theta3

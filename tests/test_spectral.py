@@ -69,6 +69,16 @@ class TestFields:
         with pytest.raises(ValueError):
             PhysicalField(grid32, np.zeros((3, 3)))
 
+    def test_constructor_copies_and_owning_keeps(self, grid32):
+        values = np.ones(grid32.shape)
+        assert not np.shares_memory(PhysicalField(grid32, values).values, values)
+        assert np.shares_memory(PhysicalField._owning(grid32, values).values, values)
+
+    @pytest.mark.parametrize("values", [np.zeros((3, 3)), np.full((32, 32), np.nan)])
+    def test_owning_checks_as_the_constructor(self, grid32, values):
+        with pytest.raises(ValueError):
+            PhysicalField._owning(grid32, values)
+
     def test_norms_of_constant_field(self):
         g = GridSpec(16, 16)
         f = PhysicalField(g, np.full(g.shape, 2.0))
