@@ -42,8 +42,17 @@ The writer prints each number as ``%.17g`` does, in numpy: a value of
 magnitude in [1e-5, 1e17) from its exact 17 digits (Dekker's error-free
 product of the value and a power of ten, rounded half to even), laid out by a
 mask per exponent; 0 and other magnitudes go through ``%`` one at a time.  A
-non-finite ``t`` is refused before the file is opened.  The reader parses a
-canonical file in C (``np.loadtxt``, which converts numbers as ``float()``
+non-finite ``t`` is refused before the file is opened.
+
+The reader gives every number ``float()``'s bits, in one of three tiers.  A
+canonical file, one with a printable header line and then only the bytes
+``0-9 . - + e ,`` and newlines, in exactly ``n_y`` newline-ended rows of
+``n_x`` tokens, is parsed in numpy, a chunk of bytes at a time: each token's
+digits N < 10^17 and its k decimals, read from 8-byte words, give a candidate
+N/10^k, which is kept only where it re-prints to the token's own 17 digits;
+0, ``e`` forms and the other tokens go through ``float()``.  Any other file,
+and a canonical one where a quarter of a chunk's tokens are ``e`` forms, goes
+to numpy's C parser (``np.loadtxt``, which converts numbers as ``float()``
 does); a file that parser does not accept as it stands goes through a row
 loop, which reports every error with the messages it always had: the row
 count before the first bad row.
@@ -61,6 +70,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -85,6 +95,7 @@ __all__ = [
 
 MAX_LEVELS = 4096   # contour bands; the colour table is built one band at a time
 _CSV_BLOCK_VALUES = 2048   # values formatted per write, about 200 bytes each meanwhile
+_RENDER_BLOCK_VALUES = 1 << 15   # pixels rendered per write, about 19 bytes each meanwhile
 
 _TOP_KEYS = {
     "solution", "kappa", "alpha", "grid", "t_end", "dt", "snapshots", "dealias",
@@ -486,30 +497,46 @@ def _decimal_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.floor(x, out=x)
     np.clip(x, -5, 16, out=x)
     x = x.astype(np.intp)
-    hi, lo = _scaled(a, x)
+    hi, lo = _scaled(a, 16 - x)
     below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
     above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
     off = np.flatnonzero(below | above)
     x[off] += np.where(above[off], 1, -1)
-    hi[off], lo[off] = _scaled(a[off], x[off])
-    # hi is an even integer, as doubles in [1e16, 1e17] are 2 to 16 apart, so
-    # rounding lo half to even rounds hi + lo half to even.
-    n = hi.astype(np.int64)
-    n += np.rint(lo).astype(np.int64)
+    hi[off], lo[off] = _scaled(a[off], 16 - x[off])
+    n = _nearest_integer(hi, lo)
     carry = n == 10**17
     n[carry] = 10**16
     x += carry
     return n, x
 
 
-def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a·10^(16-x)`` as the exact sum ``hi + lo``: Dekker's TwoProduct, with
-    ``10^(16-x)`` an exact double for ``x >= -6``."""
-    k = 16 - x
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a·10^k`` as the exact sum ``hi + lo``: Dekker's TwoProduct, with
+    ``10^k`` an exact double for ``0 <= k <= 22``."""
     hi = a * _POW10[k]
     a_hi, a_lo = _split(a)
     p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
-    return hi, ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    # ((a_hi·p_hi - hi) + a_hi·p_lo + a_lo·p_hi) + a_lo·p_lo, in place
+    lo = a_hi * p_hi
+    lo -= hi
+    a_hi *= p_lo
+    lo += a_hi
+    p_hi *= a_lo
+    lo += p_hi
+    a_lo *= p_lo
+    lo += a_lo
+    return hi, lo
+
+
+def _nearest_integer(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """``hi + lo`` rounded half to even, for ``hi`` in [2^53, 2^63).
+
+    Such an ``hi`` is an even integer, as doubles there are 2 or more apart,
+    so rounding ``lo`` half to even rounds ``hi + lo`` half to even.
+    """
+    n = hi.astype(np.int64)
+    n += np.rint(lo).astype(np.int64)
+    return n
 
 
 def read_field_csv(path) -> PhysicalField:
@@ -522,9 +549,8 @@ def read_field_csv(path) -> PhysicalField:
             non-finite entries).
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = _lines(fh, path)
-        n_x, n_y, _ = _read_header(lines, path)
-        values = None if max(n_x, n_y) > MAX_EXTENT else _load_rows(lines, n_x, n_y)
+        n_x, n_y, _ = _read_header(_lines(fh, path), path)
+    values = None if max(n_x, n_y) > MAX_EXTENT else _load_rows(path, n_x, n_y)
     if values is None:
         values = _read_rows(path)
     grid = _header_grid(n_x, n_y, path)
@@ -534,23 +560,231 @@ def read_field_csv(path) -> PhysicalField:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _load_rows(lines, n_x: int, n_y: int) -> np.ndarray | None:
-    """The ``(n_y, n_x)`` values of the data ``lines`` as numpy's C parser reads
-    them, or None where it fails, warns or finds another shape.
+def _load_rows(path, n_x: int, n_y: int) -> np.ndarray | None:
+    """The ``(n_y, n_x)`` values of the field file at ``path`` with a valid
+    header, each as ``float()`` reads it, or None where neither fast reader
+    takes the file.
 
-    Its numbers are ``float()``'s: both convert with ``PyOS_string_to_double``.
-    It reads the lines :func:`_lines` splits, so a row breaks where the row
-    loop's does.  Rows are capped by ``islice``, not ``max_rows``, because
-    ``loadtxt`` allocates ``max_rows`` rows up front.
+    :func:`_read_canonical` reads a canonical file; any other goes to numpy's
+    C parser, which converts numbers as ``float()`` does: both call
+    ``PyOS_string_to_double``.  That parser reads the lines :func:`_lines`
+    splits, so a row breaks where the row loop's does, and it fails on a
+    warning or another shape.  Rows are capped by ``islice``, not
+    ``max_rows``, because ``loadtxt`` allocates ``max_rows`` rows up front.
     """
-    rows = itertools.islice(_data_lines(lines), n_y + 1)
+    values = _read_canonical(path, n_x, n_y)
+    if values is not None:
+        return values
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            values = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = _lines(fh, path)
+            next(lines)   # the header
+            rows = itertools.islice(_data_lines(lines), n_y + 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
     except (ValueError, Warning, FormatError):
         return None
     return values if values.shape == (n_y, n_x) else None
+
+
+_READ_CHUNK_BYTES = 1 << 16   # file bytes the canonical reader parses at a time
+# The canonical reader's byte map: a digit stays, "." becomes 0x00, a newline
+# 0x10, "," 0x20, "-" 0x40, "+" 0x50 and "e" 0x60 (a low nibble of 0 reads as
+# the digit 0), any byte outside the form 0xFF.
+_TOKEN_BYTES = bytes(b if 0x30 <= b <= 0x39 else
+                     {0x2E: 0x00, 0x0A: 0x10, 0x2C: 0x20, 0x2D: 0x40, 0x2B: 0x50,
+                      0x65: 0x60}.get(b, 0xFF)
+                     for b in range(256))
+_WINDOW = 24   # the last bytes of a token, as three words of 8 digits
+_PAD = b"0" * _WINDOW   # before a chunk's text, so that every window lies inside
+# _DIGIT_MASKS[s] keeps the low nibbles of a window's bytes s..23, one item
+# of three words.
+_DIGIT_MASKS = np.array([[(0x0F0F0F0F0F0F0F0F << 8 * min(max(s - 8 * i, 0), 8)) % 2**64
+                          for i in range(3)] for s in range(_WINDOW + 1)],
+                        dtype=np.uint64).view(f"V{_WINDOW}").ravel()
+_INT_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _read_canonical(path, n_x: int, n_y: int) -> np.ndarray | None:
+    """The ``(n_y, n_x)`` values of a canonical field file, each as ``float()``
+    reads it, or None for any other file.
+
+    A canonical file has a printable ASCII header line, then only the bytes
+    ``0-9 . - + e ,`` and newline: ``n_y`` newline-ended rows of ``n_x``
+    tokens.  Its bytes go in chunks cut after a separator
+    (:func:`_parse_tokens`).  None means "not taken", never an error: a
+    token ``float()`` rejects, a chunk with more ``e`` and ``+`` bytes than a
+    quarter of its tokens (``float()`` one at a time is slower than numpy's
+    parser), a token longer than a chunk, another layout.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        # A printable header holds no other line break, so the data begin where
+        # the text reader's second line does.
+        if not (header.endswith(b"\n") and header.isascii()
+                and header[:-1].decode().isprintable()):
+            return None
+        # Each value takes two bytes or more, so a short file allocates nothing
+        # the size of the header's grid.
+        if os.fstat(fh.fileno()).st_size - fh.tell() < 2 * n_x * n_y:
+            return None
+        out = np.empty(n_x * n_y)
+        done = 0
+        tail = b""
+        while block := fh.read(_READ_CHUNK_BYTES):
+            text = b"".join((_PAD, tail, block))
+            del block
+            cut = text.rfind(b",")
+            cut = max(cut, text.rfind(b"\n", cut + 1)) + 1
+            if cut == 0:
+                return None
+            tail = text[cut:]
+            done = _parse_tokens(text, cut, out, done, n_x)
+            if done is None:
+                return None
+    if tail or done != out.size:
+        return None
+    return out.reshape(n_y, n_x)
+
+
+def _parse_tokens(text: bytes, cut: int, out: np.ndarray, start: int, n_x: int) -> int | None:
+    """Put the numbers of ``text[:cut]``, :data:`_PAD` and then whole tokens
+    each ended by ``,`` or a newline, into ``out[start:]``; return how many
+    values ``out`` now holds, or None where the canonical reader gives the
+    file up.
+
+    A token's digits N and the count k after its point come from
+    :func:`_token_digits`, a candidate for N/10^k from :func:`_candidates`.
+    The candidate is kept where it re-prints to N's 17 digits, which makes it
+    ``float()``'s double: a decade's 17-digit quantum is below every double
+    spacing in it, so at most one double rounds to a given 17 digits.  Other
+    tokens (0, ``e`` forms, magnitudes below 1e-6, more digits, a failed
+    certificate) go through ``float()``.
+    """
+    tokens = _token_digits(text, cut, start, n_x, out.size)
+    if tokens is None:
+        return None
+    ends, negative, n, k, ok = tokens
+    d = _candidates(n, k)
+    # The certificate: d·10^(k+pad) rounds to N·10^pad, N's 17 digits.  Below
+    # 1e-6, k + pad passes 22, and no d passes at the clipped power.
+    pad = 17 - np.searchsorted(_INT_POW10, n, side="right")
+    k += pad
+    np.minimum(k, 22, out=k)
+    ok &= _nearest_integer(*_scaled(d, k)) == n * _INT_POW10[pad]
+
+    values = out[start:start + ends.size]
+    values[:] = d
+    np.negative(values, out=values, where=negative)
+    others = np.flatnonzero(~ok)
+    begin = np.where(others > 0, ends[others - 1] + 1, _WINDOW)
+    for i, b, e in zip(others.tolist(), begin.tolist(), ends[others].tolist()):
+        try:
+            values[i] = float(text[b:e])
+        except ValueError:
+            return None
+    return start + ends.size
+
+
+def _token_digits(text: bytes, cut: int, start: int, n_x: int, size: int):
+    """``(ends, negative, n, k, ok)`` for the tokens of ``text[:cut]``, as
+    :func:`_parse_tokens` takes them, or None where they break the layout of
+    a canonical file from value ``start`` of ``size`` on.
+
+    ``ends`` are the tokens' separators.  A token ``-?D*.?D*`` of at most 23
+    bytes with digits 0 < N < 10^17 is ``ok``; its ``n`` is N and ``k``
+    counts its digits after the point.  Its bytes, mapped by
+    :data:`_TOKEN_BYTES`, end three 8-byte words that read as a number V,
+    the point a digit 0: V = I·10^(k+1) + F for N = I·10^k + F.  Any other
+    token has ``n`` 1 and ``k`` 0.
+    """
+    mapped = text.translate(_TOKEN_BYTES)
+    if b"\xff" in mapped:
+        return None
+    chars = np.frombuffer(mapped, dtype=np.uint8, count=cut)
+    marks = np.flatnonzero(chars < 0x30)   # separators and points
+    point = chars[marks] == 0x00
+    ends = np.compress(~point, marks)
+    count = ends.size
+    row_ends = ends[(n_x - 1 - start) % n_x::n_x]
+    if (start + count > size or np.count_nonzero(chars == 0x10) != row_ends.size
+            or not (chars[row_ends] == 0x10).all()):
+        return None
+    exotic = np.count_nonzero(chars >= 0x50)   # "e" and "+": tokens for float()
+    if 4 * exotic > count:
+        return None
+    exotic = np.flatnonzero(chars >= 0x50) if exotic else np.empty(0, dtype=np.intp)
+    points = np.flatnonzero(point)
+    if point[points + 1].any():   # float() takes one point a token
+        return None
+    # The mark after a point is its token's separator.
+    after_point = np.zeros(count, dtype=np.intp)   # k + 1, or 0 without a point
+    after_point[points - np.arange(points.size)] = marks[points + 1] - marks[points]
+    del marks, point, points
+    length = np.empty_like(ends)
+    length[0] = ends[0] - _WINDOW
+    np.subtract(ends[1:], ends[:-1] + 1, out=length[1:])
+    negative = chars[ends - length] == 0x40
+    # Every "-" leads a token or follows an "e"; float() rejects any other.
+    if (np.count_nonzero(chars == 0x40)
+            != np.count_nonzero(negative) + np.count_nonzero(chars[exotic + 1] == 0x40)):
+        return None
+
+    windows = np.ndarray((chars.size - _WINDOW + 1,), dtype=f"V{_WINDOW}", buffer=chars,
+                         strides=(1,))
+    ok = length <= 23
+    first = np.subtract(_WINDOW, length, out=length)   # the token's first byte in its window
+    np.maximum(first, 0, out=first)
+    words = windows[ends - _WINDOW].view(np.uint64).reshape(count, 3)
+    words &= _DIGIT_MASKS[first].view(np.uint64).reshape(count, 3)
+    del first, length
+    # Eight digits to a number in three steps, the first digit in the low byte.
+    words *= 10 * 2**8 + 1
+    words >>= 8
+    words &= 0x00FF00FF00FF00FF
+    words *= 100 * 2**16 + 1
+    words >>= 16
+    words &= 0x0000FFFF0000FFFF
+    words *= 10000 * 2**32 + 1
+    words >>= 32
+    ok &= words[:, 0] < 100   # V < 10^18
+    n = words[:, 0] * 10**16
+    n += words[:, 1] * 10**8
+    n += words[:, 2]
+    del words
+    n = n.view(np.int64)
+    ok[np.searchsorted(ends, exotic)] = False
+    # N = V - I·(10^(k+1) - 10^k) with I = V // 10^(k+1).  Without a point both
+    # powers are 10^0; from k = 17 on, V < 10^18 makes I 0.
+    k = np.maximum(after_point - 1, 0)
+    np.minimum(after_point, 18, out=after_point)
+    whole = n // _INT_POW10[after_point]
+    whole *= _INT_POW10[after_point] - _INT_POW10[np.minimum(k, 18)]
+    n -= whole
+    ok &= n > 0
+    ok &= n < 10**17
+    np.copyto(n, 1, where=~ok)
+    np.copyto(k, 0, where=~ok)
+    return ends, negative, n, k, ok
+
+
+def _candidates(n: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """A double near ``n/10^k`` for integers 0 < n < 10^17 and 0 <= k <= 22,
+    mostly the nearest: ``float(n)/10^k`` corrected once by its residual,
+    which Dekker's product gives exactly."""
+    a = n.astype(float)   # rounded above 2^53, and n - a is exact
+    d = a / _POW10[k]
+    hi, lo = _scaled(d, k)   # d·10^k, within 2x of a, so hi - a is exact
+    hi -= a
+    hi += lo
+    del lo
+    rounded = a.astype(np.int64)
+    np.subtract(n, rounded, out=rounded)
+    hi -= rounded
+    hi /= _POW10[k]
+    d -= hi
+    return d
 
 
 def _data_lines(lines):
@@ -710,17 +944,21 @@ def render_contour(f: PhysicalField, path, levels: int = 21) -> None:
     """
     levels = int(levels)
     _check_levels(levels)
-    vmax = float(np.max(np.abs(f.values)))
-    scaled = f.values / vmax if vmax > 0.0 else np.zeros_like(f.values)
-    # (scaled + 1.0) * 0.5 * levels, rounded step by step as written, in place
-    scaled += 1.0
-    scaled *= 0.5
-    scaled *= levels
-    bands = np.floor(scaled, out=scaled).astype(int)
-    del scaled
-    np.clip(bands, 0, levels - 1, out=bands)
+    values = f.values
+    vmax = max(float(values.max()), -float(values.min()))   # max |f|
     # One 3-byte item per pixel: numpy gathers these faster than rows of 3.
-    pixels = _colormap_lut(levels).view((np.void, 3)).ravel()[bands]
+    colours = _colormap_lut(levels).view((np.void, 3)).ravel()
+    rows = max(1, _RENDER_BLOCK_VALUES // f.grid.n_x)
     with open(path, "wb") as fh:
         fh.write(f"P6\n{f.grid.n_x} {f.grid.n_y}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+        for start in range(0, f.grid.n_y, rows):
+            block = values[start:start + rows]
+            scaled = block / vmax if vmax > 0.0 else np.zeros_like(block)
+            # (scaled + 1.0) * 0.5 * levels, rounded step by step as written, in place
+            scaled += 1.0
+            scaled *= 0.5
+            scaled *= levels
+            bands = np.floor(scaled, out=scaled).astype(int)
+            del scaled
+            np.clip(bands, 0, levels - 1, out=bands)
+            fh.write(colours[bands].view(np.uint8))

@@ -374,9 +374,17 @@ def _on_grid(sol: Solution, t: float, grid: GridSpec, d_dt: bool = False) -> np.
     validation: the residual evaluates constraint-breaking candidates too.
     """
     out = np.zeros(grid.shape)
-    for rate, pattern in _grid_patterns(sol, grid.n_x, grid.n_y):
+    work = None
+    for i, (rate, pattern) in enumerate(_grid_patterns(sol, grid.n_x, grid.n_y)):
         weight = math.exp(-rate * t)
-        out += (-rate * weight if d_dt else weight) * pattern
+        if d_dt:
+            weight *= -rate
+        if i == 0:
+            np.multiply(pattern, weight, out=out)
+            out += 0.0   # as the sum from 0.0 does: -0.0 becomes +0.0
+        else:
+            work = np.multiply(pattern, weight, out=work)
+            out += work
     return out
 
 
