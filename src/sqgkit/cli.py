@@ -22,7 +22,8 @@ import functools
 import math
 import sys
 
-from .errors import ConfigError, FormatError, InvalidSolution, SqgError, UnderResolved
+from .errors import (ConfigError, DomainError, FormatError, InvalidSolution, SqgError,
+                     UnderResolved)
 from .fileio import (_TOP_KEYS, _check_levels, _section_header, parse_config, parse_grid,
                      read_field_csv, read_field_csv_time, render_contour, write_field_csv)
 from .integrator import parameter_issues
@@ -257,8 +258,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, FormatError, InvalidSolution, UnderResolved, FileNotFoundError,
-            KeyError) as exc:
+    except (ConfigError, DomainError, FormatError, InvalidSolution, UnderResolved,
+            FileNotFoundError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SqgError, OSError) as exc:

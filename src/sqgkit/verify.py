@@ -185,7 +185,7 @@ class _Grams(NamedTuple):
         # weights are taken relative to the slowest rate: e^(-r t) may
         # underflow, but the largest weight is 1.
         low = min(self.rates, default=0.0)
-        return np.array([math.exp(-(rate - low) * t) for rate in self.rates])
+        return np.array([_sol._decay(rate - low, t) for rate in self.rates])
 
     def correlation(self, t: float) -> float:
         """:func:`pattern_correlation` of θ(t) against θ(0)."""
@@ -253,6 +253,8 @@ def residual(sol, t: float, grid: GridSpec, kappa: float | None = None,
             constraint does *not* raise — it shows up as a large
             ``nonlinear_linf``.
         UnderResolved: If the grid margin check fails.
+        DomainError: If a decay weight ``e^(-rate t)`` overflows (a large
+            negative ``t``).
     """
     sol = _sol.with_parameters(sol, kappa, alpha)
     report = validate(sol)
@@ -267,19 +269,24 @@ def residual(sol, t: float, grid: GridSpec, kappa: float | None = None,
             f"solution needs ({mx}, {my})")
 
     linear, advection = _residual_terms(sol, grid)
-    work = np.empty(grid.shape)
-    nonlin = np.zeros(grid.shape)
-    # A pair's rate r_i + r_j may overflow to inf, and inf·0 is NaN: at t = 0
-    # every weight is 1.
+    # The first term is written into the sum, not added to zeros: only the
+    # sign of a zero can differ, which no norm below sees.  A pair's rate
+    # r_i + r_j may overflow to inf, and inf·0 is NaN: at t = 0 every weight
+    # is 1 (``_decay``).
+    resid, work = None, np.empty(grid.shape)
     for rate, term in advection:
-        nonlin += np.multiply(math.exp(-rate * t) if t else 1.0, term, out=work)
-    nonlinear_linf = float(np.max(np.abs(nonlin)))
-    resid = nonlin
+        if resid is None:
+            resid = np.multiply(_sol._decay(rate, t), term)
+        else:
+            resid += np.multiply(_sol._decay(rate, t), term, out=work)
+    if resid is None:   # no wave at all
+        resid = np.zeros(grid.shape)
+    nonlinear_linf = float(np.max(np.abs(resid, out=work)))
     for rate, term in linear:
-        resid += np.multiply(math.exp(-rate * t), term, out=work)
-    l_inf = float(np.max(np.abs(resid)))
+        resid += np.multiply(_sol._decay(rate, t), term, out=work)
+    l_inf = float(np.max(np.abs(resid, out=work)))
     with np.errstate(over="ignore"):
-        l2 = float(np.sqrt(np.sum(resid**2) * grid.cell_area))
+        l2 = float(np.sqrt(np.sum(np.square(resid, out=work)) * grid.cell_area))
     if math.isinf(l2) and math.isfinite(l_inf):   # the squares overflowed
         l2 = l_inf * float(np.sqrt(np.sum((resid / l_inf)**2) * grid.cell_area))
     return ResidualReport(t=float(t), l_inf=l_inf, l2=l2,

@@ -18,6 +18,9 @@ residual's terms built on the whole half spectrum.  The allocating IFRK4 step
 and advection term that the workspace-based ones replaced are kept too, as
 the bit-identity reference of the solver.
 
+The plane-wave sum with trigonometry at every point, which the sum from
+1-D trig tables replaced, is kept as the reference of ``_wave_sum``.
+
 The artifact writers the block-formatting CSV writer and the 3-byte-gather
 renderer replaced are kept as their byte-identity references: one ``str``
 template per row, and a ``(levels, 3)`` colour-table gather.
@@ -232,6 +235,27 @@ def reference_ifrk4_step(c, h, half_e, full_e, grid, dealias):
     n3 = -reference_nonlinear_hat(half_e * c + (0.5 * h) * n2, grid, dealias)
     n4 = -reference_nonlinear_hat(full_e * c + h * (half_e * n3), grid, dealias)
     return full_e * c + (h / 6.0) * (full_e * n1 + 2.0 * half_e * (n2 + n3) + n4)
+
+
+def reference_wave_sum(waves, x, y):
+    """``Σ a cos(px + qy) + b sin(px + qy)`` with libm's cos and sin at every
+    point, at the rounded phase ``fl(p·x + q·y)``, added in list order: the
+    direct sum that ``solutions._wave_sum`` replaced."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(np.broadcast(x, y).shape)
+    phase = np.empty_like(out)
+    trig = np.empty_like(out)
+    for p, q, a, b in waves:
+        np.multiply(p, x, out=phase)
+        phase += np.multiply(q, y, out=trig)
+        np.cos(phase, out=trig)
+        trig *= a
+        np.sin(phase, out=phase)
+        phase *= b
+        trig += phase
+        out += trig
+    return out
 
 
 def reference_write_field_csv(f, path, t=0.0):
