@@ -157,8 +157,8 @@ def _cmd_verify(args) -> int:
         raise ConfigError([("tol", f"tol must be finite, got {args.tol}")])
     try:
         times = [float(t) for t in args.times.split(",") if t.strip()]
-        if not all(map(math.isfinite, times)):   # a NaN residual would read as a pass
-            raise ValueError("times must be finite")
+        if not times or not all(map(math.isfinite, times)):   # either would read as a pass
+            raise ValueError("times must be finite" if times else "no times given")
     except ValueError as exc:
         raise ConfigError([("times", f"bad times {args.times!r}: {exc}")]) from exc
     worst = 0.0

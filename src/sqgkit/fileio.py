@@ -274,6 +274,9 @@ def parse_config(text: str) -> ScenarioConfig:
 
     solution: object = None
     name = top.get("name", (0, ""))[1]
+    if set(name) & {",", "/", os.sep, os.altsep}:   # a report field, and a file name in outdir
+        semantic.append((top["name"][0], f"name must not contain ',' or a path "
+                                         f"separator, got {name!r}"))
     if "solution" in top and sol_section:
         lineno = sol_section[next(iter(sol_section))][0]
         semantic.append((lineno, "give either 'solution = <name>' or a [solution] "

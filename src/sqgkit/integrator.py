@@ -22,8 +22,8 @@ import numpy as np
 from .errors import BlowupDetected, DomainError, StabilityWarning
 from .spectral import (GridSpec, PhysicalField, SpectralField, _advection_width,
                        _frac_laplacian_multiplier, _full_spectrum, _half_spectrum,
-                       _nonlinear_hat, _to_coefficients, _to_values, _velocity_hats,
-                       _Workspace, _workspace)
+                       _mirror_sum, _nonlinear_hat, _to_coefficients, _to_values,
+                       _velocity_hats, _Workspace, _workspace)
 
 __all__ = ["SolverParams", "parameter_issues", "Snapshot", "Trajectory", "step", "simulate",
            "CFL_CONSTANT", "BLOWUP_FACTOR", "MAX_STEPS"]
@@ -256,22 +256,13 @@ def step(state: SpectralField, params: SolverParams) -> SpectralField:
     return SpectralField(grid, _full_spectrum(c, grid))
 
 
-def _sup_bound(c: np.ndarray) -> float:
-    """Σ|ĉ| over the full spectrum of the half spectrum ``c``: a bound on sup|θ|.
-
-    Columns ``1 … n_x/2 - 1`` stand for their mirror images too, so they count
-    twice; the ``kx = 0`` and Nyquist columns count once.
-    """
-    a = np.abs(c)
-    return float(a.sum() + a[:, 1:-1].sum())
-
-
 def _within_bound(c: np.ndarray, linf0: float) -> bool:
     """True if ``c`` is finite and Σ|ĉ| proves sup|θ| <= ``BLOWUP_FACTOR * linf0``.
 
     The 1e-9 margin covers the round-off of the bound and of the transform.
     """
-    return bool(np.all(np.isfinite(c))) and _sup_bound(c) * (1.0 + 1e-9) <= BLOWUP_FACTOR * linf0
+    return (bool(np.all(np.isfinite(c)))
+            and _mirror_sum(np.abs(c)) * (1.0 + 1e-9) <= BLOWUP_FACTOR * linf0)
 
 
 def _guard_blowup(c: np.ndarray, grid: GridSpec, t: float, linf0: float) -> None:

@@ -35,9 +35,9 @@ operator takes either layout by slicing that table to the columns it is given.
 In the half layout ``i·kx`` and ``i·ky`` are 0 at their Nyquist wavenumbers,
 which is what taking the real part of a full complex transform amounts to.
 
-The solver's blowup guard uses the free bound ``sup|θ| <= Σ|c_k|`` summed over
-the full spectrum (the interior half-spectrum columns count twice) and
-inverts a state only when that bound reaches the limit.
+Other modules read the half layout only through :func:`_mirror_sum`, a density
+summed over the full spectrum (the blowup bound ``sup|θ| <= Σ|c_k|``, the
+Parseval checks), and :func:`_dealiased`, the 2/3 rule's cut.
 
 The advection kernel
 --------------------
@@ -97,13 +97,10 @@ def _node_axes(n_x: int, n_y: int):
     return x[np.newaxis, :], y[:, np.newaxis]
 
 
-@lru_cache(maxsize=None)
 def _node_mesh(n_x: int, n_y: int):
+    """Read-only ``(n_y, n_x)`` views of :func:`_node_axes`, bit for bit ``np.meshgrid``."""
     x, y = _node_axes(n_x, n_y)
-    X, Y = np.meshgrid(x[0], y[:, 0])
-    X.setflags(write=False)
-    Y.setflags(write=False)
-    return X, Y
+    return np.broadcast_to(x, (n_y, n_x)), np.broadcast_to(y, (n_y, n_x))
 
 
 class _Multipliers(NamedTuple):
@@ -204,7 +201,8 @@ class GridSpec:
         return (2.0 * np.pi / self.n_x) * (2.0 * np.pi / self.n_y)
 
     def nodes(self):
-        """Return read-only meshes ``(X, Y)`` of node coordinates, shape ``(n_y, n_x)``."""
+        """Return read-only meshes ``(X, Y)`` of node coordinates, shape ``(n_y, n_x)``:
+        views of the cached node row and column, so they take no per-grid memory."""
         return _node_mesh(self.n_x, self.n_y)
 
     def wavenumbers(self):
@@ -404,6 +402,32 @@ def _full_spectrum(half: np.ndarray, grid: GridSpec) -> np.ndarray:
     return full
 
 
+def _mirror_sum(density: np.ndarray, grid: GridSpec | None = None, where=None) -> float:
+    """Sum of a half-spectrum density over the full spectrum.
+
+    Columns ``1 … n_x/2 - 1`` also stand for their mirror images; the
+    ``kx = 0`` and Nyquist columns count once.  With ``where`` (and ``grid``),
+    a predicate on broadcasting wavenumber arrays ``(kx, ky)``, only the modes
+    it holds for count, each judged at its stored label: the mirror of
+    ``(kx, ky)`` is ``(-kx, -ky)``, or ``(-kx, -n_y/2)`` on that row.
+    """
+    if where is None:
+        return float(density.sum() + density[:, 1:-1].sum())
+    table = _multipliers(grid.n_x, grid.n_y, density.shape[-1])
+    mirror_ky = -table.ky
+    mirror_ky[grid.n_y // 2] = table.ky[grid.n_y // 2]
+    return float(np.sum(density, where=where(table.kx, table.ky))
+                 + np.sum(density[:, 1:-1], where=where(-table.kx[:, 1:-1], mirror_ky)))
+
+
+def _dealiased(coef: np.ndarray, grid: GridSpec, out: np.ndarray) -> np.ndarray:
+    """The 2/3 rule's cut of a half spectrum: its leading ``n_x//3 + 1``
+    columns times the mask, written into ``out``."""
+    width = _advection_width(grid, True)
+    return np.multiply(coef[:, :width], _multipliers(grid.n_x, grid.n_y, width).dealias,
+                       out=out)
+
+
 # --------------------------------------------------------------------------
 # diagonal operators
 # --------------------------------------------------------------------------
@@ -585,11 +609,8 @@ def _nonlinear_hat(coef: np.ndarray, grid: GridSpec, dealias: bool,
     without it), so a call given both allocates only inside the transforms.
     """
     width = _advection_width(grid, dealias)
-    table = _multipliers(grid.n_x, grid.n_y, width)
     ws = _workspace(grid, dealias) if work is None else work
-    theta = coef[:, :width]
-    if dealias:
-        theta = np.multiply(theta, table.dealias, out=ws.theta)
+    theta = _dealiased(coef, grid, ws.theta) if dealias else coef[:, :width]
     _velocity_nodes(theta, grid, ws)
     adv = _advect(theta, grid, ws)
     if not dealias:
@@ -597,7 +618,7 @@ def _nonlinear_hat(coef: np.ndarray, grid: GridSpec, dealias: bool,
     spectrum = _to_coefficients(adv, grid, out=ws.spectrum)
     if out is None:
         out = np.zeros_like(spectrum)
-    np.multiply(spectrum[:, :width], table.dealias, out=out[:, :width])
+    _dealiased(spectrum, grid, out[:, :width])
     return out
 
 

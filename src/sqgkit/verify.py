@@ -34,8 +34,9 @@ from . import solutions as _sol
 from .errors import DegenerateFit, DomainError, InvalidSolution, UnderResolved, ZeroField
 from .integrator import SolverParams, Trajectory, simulate
 from .solutions import ValidationReport, validate
-from .spectral import (GridSpec, PhysicalField, _advect, _frac_laplacian_multiplier,
-                       _multipliers, _to_coefficients, _to_values, _velocity_nodes, _workspace)
+from .spectral import (GridSpec, PhysicalField, _advect, _dealiased,
+                       _frac_laplacian_multiplier, _mirror_sum, _to_coefficients, _to_values,
+                       _velocity_nodes, _workspace)
 
 __all__ = [
     "ResidualReport",
@@ -108,9 +109,9 @@ def _residual_terms(sol, grid: GridSpec) -> tuple[tuple, tuple]:
     pattern spectra also give the entry's :class:`_Grams`.
 
     The pair sums come from the advection kernel of :mod:`sqgkit.spectral`
-    on spectra cut to the ``n_x//3 + 1`` columns the 2/3 rule keeps: each
-    ``u_i`` is inverted once, and each ordered pair ``(i, j)`` adds
-    ``u_i·∇P_j`` into the sum of its unordered pair.
+    on spectra cut by its 2/3 rule (``_dealiased``): each ``u_i`` is
+    inverted once, and each ordered pair ``(i, j)`` adds ``u_i·∇P_j`` into
+    the sum of its unordered pair.
     """
     entry = _sol._grid_data(sol, grid.n_x, grid.n_y)
     terms = entry.get("residual")
@@ -123,13 +124,11 @@ def _residual_terms(sol, grid: GridSpec) -> tuple[tuple, tuple]:
         direction = (sol.n, sol.m) if isinstance(sol, _sol.UnidirectionalSolution) else None
         entry["grams"] = _pattern_grams(tuple(rate for rate, _ in patterns), coefs, grid,
                                         direction)
-        box = grid.n_x // 3 + 1
-        dealias = _multipliers(grid.n_x, grid.n_y, box).dealias
         sums: dict[tuple[int, int], np.ndarray] = {}
         for i, coef_i in enumerate(coefs):
-            _velocity_nodes(np.multiply(coef_i[:, :box], dealias, out=ws.theta), grid, ws)
+            _velocity_nodes(_dealiased(coef_i, grid, ws.theta), grid, ws)
             for j, coef_j in enumerate(coefs):
-                b = np.multiply(coef_j[:, :box], dealias, out=ws.theta)
+                b = _dealiased(coef_j, grid, ws.theta)
                 pair = (min(i, j), max(i, j))
                 if pair in sums:
                     _advect(b, grid, ws, acc=sums[pair])
@@ -139,7 +138,7 @@ def _residual_terms(sol, grid: GridSpec) -> tuple[tuple, tuple]:
         advection = []
         for i, j in list(sums):
             _to_coefficients(sums.pop((i, j)), grid, out=ws.spectrum)
-            np.multiply(ws.spectrum[:, :box], dealias, out=ws.theta)
+            _dealiased(ws.spectrum, grid, ws.theta)
             advection.append((patterns[i][0] + patterns[j][0], _to_values(ws.theta, grid)))
         del ws
         # Built last, so no advection work array is alive beside them.
@@ -172,7 +171,7 @@ class _Grams(NamedTuple):
     costs ``O(k²)`` scalars and no field.  ``centred[i, j]`` is
     ``⟨P_i - mean P_i, P_j - mean P_j⟩`` summed over the nodes; ``total`` and
     ``off_ray`` are ``Σ Re(ĉ_i conj ĉ_j)`` over the full spectrum and over
-    its part off the ray of ``_off_ray_sum`` (``None`` without a direction).
+    its part off the ray of ``_off_ray`` (``None`` without a direction).
     """
 
     rates: tuple
@@ -221,7 +220,7 @@ def _pattern_grams(rates: tuple, coefs: list, grid: GridSpec,
             centred[i, j] = centred[j, i] = grid.size * wave
             total[i, j] = total[j, i] = wave + mean
             if direction is not None:
-                off[i, j] = off[j, i] = _off_ray_sum(cross, grid, *direction)
+                off[i, j] = off[j, i] = _mirror_sum(cross, grid, _off_ray(*direction))
     return _Grams(rates, centred, total, off if direction is not None else None)
 
 
@@ -374,29 +373,13 @@ def unidirectionality_check(f: PhysicalField, n: int, m: int) -> float:
     total = _mirror_sum(energy)
     if total < 1e-300:
         raise ZeroField("unidirectionality check of an (effectively) zero field")
-    return _off_ray_sum(energy, f.grid, n, m) / total
+    return _mirror_sum(energy, f.grid, _off_ray(n, m)) / total
 
 
-def _mirror_sum(energy: np.ndarray) -> float:
-    """Sum of a half-spectrum density over the full spectrum.
-
-    Columns 1 … n_x/2 - 1 also stand for their mirror images (-kx, -ky),
-    which carry the same density; the kx = 0 and Nyquist columns count once.
-    """
-    return float(energy.sum() + energy[:, 1:-1].sum())
-
-
-def _off_ray_sum(energy: np.ndarray, grid: GridSpec, n: int, m: int) -> float:
-    """:func:`_mirror_sum` of ``energy`` over the modes off the ray through ``(n, m)``."""
-    table = _multipliers(grid.n_x, grid.n_y, energy.shape[-1])
-    off_ray = table.kx * m != table.ky * n   # exact: small-integer float arithmetic
-    # The ray test is odd in k, so a mirror image gets its original's verdict,
-    # except on the ky = -n_y/2 row: there the mirror of (kx, ky) is stored
-    # as (-kx, -n_y/2), not (-kx, n_y/2), and is tested under that label.
-    mirror_off = off_ray[:, 1:-1].copy()
-    nyq = grid.n_y // 2
-    mirror_off[nyq] = -table.kx[0, 1:-1] * m != table.ky[nyq, 0] * n
-    return float(np.sum(energy, where=off_ray) + np.sum(energy[:, 1:-1], where=mirror_off))
+def _off_ray(n: int, m: int):
+    """The predicate of :func:`spectral._mirror_sum` that holds off the ray
+    through ``(n, m)``: ``kx·m != ky·n``, exact in small-integer float arithmetic."""
+    return lambda kx, ky: kx * m != ky * n
 
 
 def solver_vs_exact(sol, params: SolverParams, grid: GridSpec) -> list[tuple[float, float]]:
