@@ -26,7 +26,8 @@ Top-level keys::
     name       artifact file prefix (default: the solution name)
     require_correlation_below
                optional threshold: final-vs-initial pattern correlation must
-               fall below it (used by the non-stationarity checks)
+               fall below it (used by the non-stationarity checks); only a
+               non-exact datum with t_end > 0 takes it
 
 ``[solution]`` keys: ``family`` (eigenmode | unidirectional) plus ``n``, ``m``
 and, for eigenmode, ``k`` and ``c1`` … ``c8``; for unidirectional, ``modes``

@@ -8,6 +8,8 @@ RK4 stages act on the transformed variable, so the linear part is integrated
 initial datum whose advection term vanishes — every exact solution implemented
 in :mod:`sqgkit.solutions` — the solver therefore reproduces the analytic
 decay to round-off, which the verification module exploits as a sharp test.
+``_march``, behind both :func:`step` and :func:`simulate`, is the one
+stepping path: decay factors, landing on target times and the blowup guard.
 """
 
 from __future__ import annotations
@@ -234,7 +236,7 @@ def _check_cfl(c: np.ndarray, grid: GridSpec, dt: float, t: float,
 
 
 def step(state: SpectralField, params: SolverParams) -> SpectralField:
-    """Advance one time step of length ``params.dt``.
+    """Advance one time step of length ``params.dt``: a :func:`_march` to ``dt``.
 
     The diagonal dissipation is integrated exactly by the integrating factor;
     since the stage combination collapses to the plain multiplier
@@ -246,40 +248,57 @@ def step(state: SpectralField, params: SolverParams) -> SpectralField:
             ``BLOWUP_FACTOR`` times the input's.
     """
     grid = state.grid
-    c0 = _half_spectrum(state.coefficients, grid)
-    sym = _symbol(grid, params.kappa, params.alpha)
-    half_e = np.exp(-0.5 * params.dt * sym)
-    c = _ifrk4_step(c0, params.dt, half_e, half_e * half_e, grid, params.dealias)
-    # max|ĉ0| <= sup|θ0|, so the input is inverted only if the bound trips against that floor.
-    if not _within_bound(c, float(np.max(np.abs(c0)))):
-        _guard_blowup(c, grid, params.dt, float(np.max(np.abs(_to_values(c0, grid)))))
+    (_, c), = _march(_half_spectrum(state.coefficients, grid), params, grid, (params.dt,))
     return SpectralField(grid, _full_spectrum(c, grid))
 
 
-def _within_bound(c: np.ndarray, linf0: float) -> bool:
-    """True if ``c`` is finite and Σ|ĉ| proves sup|θ| <= ``BLOWUP_FACTOR * linf0``.
-
-    The 1e-9 margin covers the round-off of the bound and of the transform.
-    """
-    return (bool(np.all(np.isfinite(c)))
-            and _mirror_sum(np.abs(c)) * (1.0 + 1e-9) <= BLOWUP_FACTOR * linf0)
-
-
-def _guard_blowup(c: np.ndarray, grid: GridSpec, t: float, linf0: float) -> None:
+def _guard_blowup(c: np.ndarray, grid: GridSpec, t: float, linf0: float,
+                  c0: np.ndarray | None = None) -> None:
     """Raise unless the half spectrum ``c`` is finite and within the sup-norm limit.
 
-    sup|θ| <= Σ|ĉ| over the full spectrum, so the inverse transform is needed
-    only when that free bound reaches the limit; the guard then raises on
-    exactly the steps a transform of every state would.
+    sup|θ| <= Σ|ĉ| over the full spectrum (1e-9 covers the round-off), so only
+    a state whose bound reaches the limit is inverted: the guard raises on
+    exactly the steps a transform of every state would.  Given the initial
+    half spectrum ``c0``, ``linf0`` is its floor max|ĉ0| <= sup|θ0|, and ``c0``
+    is inverted for sup|θ0| only when the bound reaches the limit on it.
     """
-    if _within_bound(c, linf0):
+    finite = bool(np.all(np.isfinite(c)))
+    if finite and _mirror_sum(np.abs(c)) * (1.0 + 1e-9) <= BLOWUP_FACTOR * linf0:
         return
-    if not np.all(np.isfinite(c)):
+    if c0 is not None:
+        return _guard_blowup(c, grid, t, float(np.max(np.abs(_to_values(c0, grid)))))
+    if not finite:
         raise BlowupDetected(t, "non-finite coefficients")
-    limit = BLOWUP_FACTOR * linf0
     linf = float(np.max(np.abs(_to_values(c, grid))))
-    if linf > limit:
+    if linf > BLOWUP_FACTOR * linf0:
         raise BlowupDetected(t, f"sup norm {linf:.3e} exceeds {BLOWUP_FACTOR:g} x initial {linf0:.3e}")
+
+
+def _march(c: np.ndarray, params: SolverParams, grid: GridSpec, targets,
+           linf0: float | None = None):
+    """Advance the half spectrum ``c`` from t = 0; yield ``(t, c)`` on landing at each target.
+
+    The one stepping path.  Each segment up to the next ascending target takes
+    full ``dt`` steps, then one shortened step if the remainder exceeds 1e-9·dt.
+    :func:`_guard_blowup` checks every step against ``linf0`` = sup|θ(0)|; when
+    it is None, ``c`` is inverted for it only if the floor max|ĉ| trips.
+    """
+    sym = _symbol(grid, params.kappa, params.alpha)
+    half_e = np.exp(-0.5 * params.dt * sym)
+    full_e = half_e * half_e
+    work = _step_work(grid, params.dealias)
+    c0, floor = (c, float(np.max(np.abs(c)))) if linf0 is None else (None, linf0)
+    for t, target in zip((0.0, *targets), targets):
+        n_full = int(math.floor((target - t) / params.dt + 1e-9))
+        remainder = target - t - n_full * params.dt
+        for i in range(n_full):
+            c = _ifrk4_step(c, params.dt, half_e, full_e, grid, params.dealias, work)
+            _guard_blowup(c, grid, t + (i + 1) * params.dt, floor, c0)
+        if remainder > 1e-9 * params.dt:
+            he = np.exp(-0.5 * remainder * sym)
+            c = _ifrk4_step(c, remainder, he, he * he, grid, params.dealias, work)
+            _guard_blowup(c, grid, target, floor, c0)
+        yield target, c
 
 
 def _record(snapshots: list, t: float, c: np.ndarray, grid: GridSpec) -> None:
@@ -291,11 +310,11 @@ def _record(snapshots: list, t: float, c: np.ndarray, grid: GridSpec) -> None:
 def simulate(initial: PhysicalField, params: SolverParams) -> Trajectory:
     """March from ``t = 0`` to ``t_end`` and record the snapshot schedule.
 
-    Snapshot times are hit exactly: within each inter-snapshot segment the
-    solver takes full ``dt`` steps and one final shortened step for any
-    remainder.  The stability guard is evaluated at the start and re-checked
-    at every snapshot; violations raise :class:`StabilityWarning` (a warning,
-    not an error — the blowup guard is the hard failure).
+    :func:`_march`, the one stepping path, lands on each snapshot time exactly
+    and guards every step; here each landing is recorded.  The stability
+    estimate is checked at the start and at every snapshot; violations raise
+    :class:`StabilityWarning` (a warning, not an error — the blowup guard is
+    the hard failure).
 
     Raises:
         BlowupDetected: With the time of failure, if the state becomes
@@ -304,30 +323,11 @@ def simulate(initial: PhysicalField, params: SolverParams) -> Trajectory:
     grid = initial.grid
     c = _to_coefficients(initial.values, grid)
     linf0 = float(np.max(np.abs(initial.values)))
-
     targets = sorted({0.0, float(params.t_end), *params.snapshot_times})
     snapshots: list[Snapshot] = []
     _record(snapshots, 0.0, c, grid)
     warned = _check_cfl(c, grid, params.dt, 0.0, already_warned=False)
-
-    sym = _symbol(grid, params.kappa, params.alpha)
-    half_e = np.exp(-0.5 * params.dt * sym)
-    full_e = half_e * half_e
-    work = _step_work(grid, params.dealias)
-
-    t = 0.0
-    for target in targets[1:]:
-        span = target - t
-        n_full = int(math.floor(span / params.dt + 1e-9))
-        remainder = span - n_full * params.dt
-        for i in range(n_full):
-            c = _ifrk4_step(c, params.dt, half_e, full_e, grid, params.dealias, work)
-            _guard_blowup(c, grid, t + (i + 1) * params.dt, linf0)
-        if remainder > 1e-9 * params.dt:
-            he = np.exp(-0.5 * remainder * sym)
-            c = _ifrk4_step(c, remainder, he, he * he, grid, params.dealias, work)
-            _guard_blowup(c, grid, target, linf0)
-        t = target
+    for t, c in _march(c, params, grid, targets[1:], linf0):
         _record(snapshots, t, c, grid)
         warned = _check_cfl(c, grid, params.dt, t, warned)
     return Trajectory(grid, tuple(snapshots))

@@ -99,7 +99,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     Raises:
         ConstraintViolation: If the mode is incompatible with the solution
-            kind (``exact`` on a non-exact datum).
+            kind (``exact`` on a non-exact datum), or if
+            ``require_correlation_below`` is set on a run that makes no
+            ``correlation_final`` row (an exact solution, or t_end = 0).
         BlowupDetected: Propagated from the solver.
     """
     checks, artifacts = _run(config)
@@ -142,6 +144,11 @@ def _run(config: ScenarioConfig) -> tuple[list, list]:
     if not exact and mode != "simulate":
         raise ConstraintViolation(
             f"mode = {mode} requires an exact solution; {config.name or 'datum'} is not one")
+    # Only a simulated non-exact datum gets the correlation_final row it gates.
+    if config.require_correlation_below is not None and (exact or config.t_end == 0.0):
+        raise ConstraintViolation(
+            "require_correlation_below needs a non-exact datum simulated to t_end > 0; "
+            f"{config.name or 'this run'} is {'exact' if exact else 'not simulated'}")
 
     name = config.name or "field"
     times = sorted({0.0, float(config.t_end), *config.snapshot_times})

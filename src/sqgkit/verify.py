@@ -394,8 +394,13 @@ def solver_vs_exact(sol, params: SolverParams, grid: GridSpec) -> list[tuple[flo
     Raises:
         InvalidSolution: If ``sol`` does not validate (this check requires a
             genuinely exact reference).
+        DomainError: If ``params`` has another κ or α than ``sol``, so the
+            two would solve different equations.
     """
     _sol._require_valid(sol)
+    if (params.kappa, params.alpha) != (sol.kappa, sol.alpha):
+        raise DomainError(f"solver kappa, alpha = {params.kappa}, {params.alpha} differ from "
+                          f"the solution's {sol.kappa}, {sol.alpha}")
     return _solver_error(sol, _sol.eval_theta(sol, 0.0, grid), params)[1]
 
 
