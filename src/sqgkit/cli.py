@@ -54,12 +54,22 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    type=float)
 
 
+def _config_text(path) -> str:
+    """The text of the config file at ``path``.
+
+    Raises:
+        ConfigError: The file is not UTF-8 text.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError([(path, f"not UTF-8 text: {exc}")]) from exc
+
+
 def _merged_config(args) -> str:
     """File text (if any) plus one override line per given flag; last wins."""
-    text = ""
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    text = _config_text(args.config) if args.config else ""
     return _with_overrides(text, [f"{key} = {value}" for key, value in vars(args).items()
                                   # parser order, not the hash-seeded set order
                                   if key in _TOP_KEYS and value is not None])
@@ -186,8 +196,7 @@ def _cmd_scenario(args) -> int:
     if args.target in builtin_scenarios():
         result = run_builtin(args.target, outdir=args.outdir)
     else:
-        with open(args.target, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _config_text(args.target)
         if args.outdir:
             text = _with_overrides(text, [f"outdir = {args.outdir}"])
         result = run_scenario(parse_config(text))
@@ -259,7 +268,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, DomainError, FormatError, InvalidSolution, UnderResolved,
-            FileNotFoundError, KeyError) as exc:
+            FileNotFoundError, IsADirectoryError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SqgError, OSError) as exc:

@@ -45,18 +45,15 @@ product of the value and a power of ten, rounded half to even), laid out by a
 mask per exponent; 0 and other magnitudes go through ``%`` one at a time.  A
 non-finite ``t`` is refused before the file is opened.
 
-The reader gives every number ``float()``'s bits, in one of three tiers.  A
+The reader gives every number ``float()``'s bits, in one of two tiers.  A
 canonical file, one with a printable header line and then only the bytes
 ``0-9 . - + e ,`` and newlines, in exactly ``n_y`` newline-ended rows of
 ``n_x`` tokens, is parsed in numpy, a chunk of bytes at a time: each token's
 digits N < 10^17 and its k decimals, read from 8-byte words, give a candidate
 N/10^k, which is kept only where it re-prints to the token's own 17 digits;
-0, ``e`` forms and the other tokens go through ``float()``.  Any other file,
-and a canonical one where a quarter of a chunk's tokens are ``e`` forms, goes
-to numpy's C parser (``np.loadtxt``, which converts numbers as ``float()``
-does); a file that parser does not accept as it stands goes through a row
-loop, which reports every error with the messages it always had: the row
-count before the first bad row.
+0, ``e`` forms and the other tokens go through ``float()``.  Any other file
+goes through a row loop, which reports every error with the messages it
+always had: the row count before the first bad row.
 
 Images
 ------
@@ -69,10 +66,8 @@ uniform white.  Identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -275,9 +270,12 @@ def parse_config(text: str) -> ScenarioConfig:
 
     solution: object = None
     name = top.get("name", (0, ""))[1]
-    if set(name) & {",", "/", os.sep, os.altsep}:   # a report field, and a file name in outdir
-        semantic.append((top["name"][0], f"name must not contain ',' or a path "
-                                         f"separator, got {name!r}"))
+    if set(name) & {",", "/", os.sep, os.altsep, "\0"}:   # a report field, a file name in outdir
+        semantic.append((top["name"][0], f"name must not contain ',', a path "
+                                         f"separator or a NUL byte, got {name!r}"))
+    outdir = top.get("outdir", (0, "sqg-out"))[1]
+    if "\0" in outdir:   # no path holds one
+        semantic.append((top["outdir"][0], f"outdir must not contain a NUL byte, got {outdir!r}"))
     if "solution" in top and sol_section:
         lineno = sol_section[next(iter(sol_section))][0]
         semantic.append((lineno, "give either 'solution = <name>' or a [solution] "
@@ -308,7 +306,7 @@ def parse_config(text: str) -> ScenarioConfig:
     return ScenarioConfig(
         solution=solution, kappa=kappa, alpha=alpha, grid=grid, t_end=t_end, dt=dt,
         snapshot_times=snapshot_times, dealias=dealias,
-        outdir=top.get("outdir", (0, "sqg-out"))[1], outputs=outputs, levels=levels,
+        outdir=outdir, outputs=outputs, levels=levels,
         mode=mode, name=name, require_correlation_below=corr_below)
 
 
@@ -546,6 +544,9 @@ def _nearest_integer(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 def read_field_csv(path) -> PhysicalField:
     """Read a field written by :func:`write_field_csv`.
 
+    A canonical file is parsed in numpy (:func:`_read_canonical`); any other
+    goes to the row loop, :func:`_read_rows`.
+
     Raises:
         FormatError: Missing/malformed header, a non-finite time, a row with
             the wrong value count, a non-numeric or non-finite entry, or a
@@ -562,34 +563,6 @@ def read_field_csv(path) -> PhysicalField:
         return PhysicalField._owning(grid, values)
     except ValueError as exc:   # a non-finite entry such as "nan" or "inf"
         raise FormatError(f"{path}: {exc}") from exc
-
-
-def _load_rows(path, n_x: int, n_y: int) -> np.ndarray | None:
-    """The ``(n_y, n_x)`` values of the field file at ``path`` with a valid
-    header, each as ``float()`` reads it, or None where neither fast reader
-    takes the file.
-
-    :func:`_read_canonical` reads a canonical file; any other goes to numpy's
-    C parser, which converts numbers as ``float()`` does: both call
-    ``PyOS_string_to_double``.  That parser reads the lines :func:`_lines`
-    splits, so a row breaks where the row loop's does, and it fails on a
-    warning or another shape.  Rows are capped by ``islice``, not
-    ``max_rows``, because ``loadtxt`` allocates ``max_rows`` rows up front.
-    """
-    values = _read_canonical(path, n_x, n_y)
-    if values is not None:
-        return values
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = _lines(fh, path)
-            next(lines)   # the header
-            rows = itertools.islice(_data_lines(lines), n_y + 1)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                values = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
-    except (ValueError, Warning, FormatError):
-        return None
-    return values if values.shape == (n_y, n_x) else None
 
 
 _READ_CHUNK_BYTES = 1 << 16   # file bytes the canonical reader parses at a time
@@ -618,9 +591,7 @@ def _read_canonical(path, n_x: int, n_y: int) -> np.ndarray | None:
     ``0-9 . - + e ,`` and newline: ``n_y`` newline-ended rows of ``n_x``
     tokens.  Its bytes go in chunks cut after a separator
     (:func:`_parse_tokens`).  None means "not taken", never an error: a
-    token ``float()`` rejects, a chunk with more ``e`` and ``+`` bytes than a
-    quarter of its tokens (``float()`` one at a time is slower than numpy's
-    parser), a token longer than a chunk, another layout.
+    token ``float()`` rejects, a token longer than a chunk, another layout.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -650,6 +621,9 @@ def _read_canonical(path, n_x: int, n_y: int) -> np.ndarray | None:
     if tail or done != out.size:
         return None
     return out.reshape(n_y, n_x)
+
+
+_load_rows = _read_canonical   # the fast tier; tests switch it off here
 
 
 def _parse_tokens(text: bytes, cut: int, out: np.ndarray, start: int, n_x: int) -> int | None:
@@ -715,10 +689,7 @@ def _token_digits(text: bytes, cut: int, start: int, n_x: int, size: int):
     if (start + count > size or np.count_nonzero(chars == 0x10) != row_ends.size
             or not (chars[row_ends] == 0x10).all()):
         return None
-    exotic = np.count_nonzero(chars >= 0x50)   # "e" and "+": tokens for float()
-    if 4 * exotic > count:
-        return None
-    exotic = np.flatnonzero(chars >= 0x50) if exotic else np.empty(0, dtype=np.intp)
+    exotic = np.flatnonzero(chars >= 0x50)   # "e" and "+": tokens for float()
     points = np.flatnonzero(point)
     if point[points + 1].any():   # float() takes one point a token
         return None
@@ -791,24 +762,11 @@ def _candidates(n: np.ndarray, k: np.ndarray) -> np.ndarray:
     return d
 
 
-def _data_lines(lines):
-    """The non-blank ``lines``; a unit separator (U+001F) raises ValueError.
-
-    numpy strips U+001C..U+001F around a number as whitespace, where
-    ``float()`` rejects them; ``splitlines`` already breaks lines at the other three.
-    """
-    for ln in lines:
-        if "\x1f" in ln:
-            raise ValueError("unit separator in a row")
-        if ln.strip():
-            yield ln
-
-
 def _read_rows(path) -> np.ndarray:
     """The values of the field CSV at ``path``, parsed one ``float()`` at a time.
 
     This loop reports every error of a field file, so :func:`read_field_csv`
-    runs it whenever numpy's parser does not accept the file as it stands.
+    runs it for every file the canonical reader does not take.
 
     Raises:
         FormatError: As :func:`read_field_csv`, except for non-finite entries.

@@ -1,10 +1,10 @@
 """Field CSV and contour PPM paths: exactness, error reports, budgets.
 
-The reader parses a canonical file with numpy's C parser and leaves every
-other file to the row loop, which is also the reader's oracle here: with
-``_load_rows`` switched off, ``read_field_csv`` runs only that loop.  The
-writers are held byte for byte to the row-by-row CSV writer and the
-``(levels, 3)``-gather renderer kept in ``tests/oracles.py``.
+The reader parses a canonical file in numpy and leaves every other file to
+the row loop, which is also the reader's oracle here: with ``_load_rows``
+switched off, ``read_field_csv`` runs only that loop.  The writers are held
+byte for byte to the row-by-row CSV writer and the ``(levels, 3)``-gather
+renderer kept in ``tests/oracles.py``.
 """
 
 import sys
@@ -113,16 +113,6 @@ def test_fast_reader_matches_the_row_loop(name, tmp_path, monkeypatch):
         fast = _outcome(path)
     assert fast == _loop_outcome(path, monkeypatch)
     assert not caught   # numpy's "no data" warning stays inside the reader
-
-
-@pytest.mark.parametrize("name", ["canonical", "crlf_and_blank_lines", "cr_line_ends",
-                                  "spaces_around_numbers", "unicode_spaces"])
-def test_corpus_files_the_fast_reader_takes(name, tmp_path, monkeypatch):
-    # The corpus holds accepted files the C parser reads without the loop.
-    path = tmp_path / "f.csv"
-    path.write_bytes(_CORPUS[name])
-    monkeypatch.setattr(fileio, "_read_rows", _no_loop)
-    assert _outcome(path)[0] == "ok"
 
 
 class TestCanonicalReadBudget:

@@ -2,9 +2,9 @@
 
 ``fileio._read_canonical`` reads a file of only ``0-9 . - + e ,`` and
 newlines, in the header's rows and columns, and returns None for any other
-file, which then goes to numpy's C parser and the row loop as before.  Its
-numbers must be ``float()``'s bit for bit, whether a token went through the
-vectorised parse and its certificate or through ``float()`` itself.
+file, which then goes to the row loop.  Its numbers must be ``float()``'s bit
+for bit, whether a token went through the vectorised parse and its
+certificate or through ``float()`` itself.
 """
 
 import gc
@@ -200,18 +200,14 @@ def test_a_wrong_candidate_is_never_certified(tmp_path, monkeypatch, canonical_o
     assert np.array_equal(read_field_csv(path).values.view(np.uint64), _bits(f.values))
 
 
-def test_many_e_tokens_go_to_the_c_parser_at_once(tmp_path, monkeypatch):
+def test_e_forms_are_read_by_the_canonical_tier(tmp_path, canonical_only):
+    # Almost every token an "e" form, each one through float().
     grid = GridSpec(64, 64)
     rng = np.random.default_rng(5)
     values = 10.0 ** rng.uniform(-300, 300, grid.shape)
     path = tmp_path / "f.csv"
     write_field_csv(PhysicalField(grid, values), path)
-    chunks = []
-    parse = fileio._parse_tokens
-    monkeypatch.setattr(fileio, "_parse_tokens", lambda *a: chunks.append(1) or parse(*a))
-    monkeypatch.setattr(fileio, "_read_rows", _no_loop)
     assert np.array_equal(read_field_csv(path).values.view(np.uint64), _bits(values))
-    assert chunks == [1]
 
 
 def _traced_peak(fn, *args):
@@ -250,14 +246,20 @@ class TestFilesAreClosed:
         write_field_csv(_theta("theta1", GridSpec(64, 64)), path)
         assert self._read(path, monkeypatch)[0] == "ok"
 
-    def test_given_up_mid_file(self, tmp_path, monkeypatch):
-        # Canonical chunks first, then one the C parser takes.
-        monkeypatch.setattr(fileio, "_read_rows", _no_loop)
+    def test_given_up_mid_file_goes_to_the_loop(self, tmp_path, monkeypatch):
+        # Canonical chunks first, then one with a blank that the loop reads.
+        chunks, loops = [], []
+        parse, loop = fileio._parse_tokens, fileio._read_rows
+        monkeypatch.setattr(fileio, "_parse_tokens", lambda *a: chunks.append(1) or parse(*a))
+        monkeypatch.setattr(fileio, "_read_rows", lambda path: loops.append(1) or loop(path))
         monkeypatch.setattr(fileio, "_READ_CHUNK_BYTES", 256)
+        f = _theta("theta1", GridSpec(16, 16))
         path = tmp_path / "f.csv"
-        write_field_csv(_theta("theta1", GridSpec(16, 16)), path)
+        write_field_csv(f, path)
         path.write_bytes(path.read_bytes()[:-1] + b" \n")
-        assert self._read(path, monkeypatch)[0] == "ok"
+        outcome = self._read(path, monkeypatch)
+        assert outcome == ("ok", f.grid, f.values.view(np.uint64).tobytes())
+        assert len(chunks) > 1 and loops == [1]
 
     def test_loop_error(self, tmp_path, monkeypatch):
         path = tmp_path / "f.csv"
