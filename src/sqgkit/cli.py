@@ -28,9 +28,9 @@ from .fileio import (_TOP_KEYS, _check_levels, _section_header, parse_config, pa
                      read_field_csv, read_field_csv_time, render_contour, write_field_csv)
 from .integrator import parameter_issues
 from .scenario import builtin_scenarios, run_builtin, run_scenario
-from .solutions import builtin_samples, validate
+from .solutions import _HARD_CODES, builtin_samples, validate
 from .spectral import GridSpec
-from .verify import _HARD_CODES, residual
+from .verify import residual
 
 __all__ = ["main"]
 

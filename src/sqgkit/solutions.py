@@ -226,10 +226,23 @@ def validate(sol: Solution) -> ValidationReport:
     return ValidationReport(tuple(violations), tuple(notes))
 
 
+# Validation codes that make pointwise evaluation itself meaningless.  The
+# Pythagorean coupling constraint is deliberately NOT among them: a
+# constraint-breaking candidate still defines a perfectly good field, and the
+# residual report is exactly the tool that exposes its non-exactness.
+_HARD_CODES = frozenset({"kappa", "alpha", "rate", "nm_zero", "k_zero", "modes_dup",
+                         "nonfinite"})
+
+
 def _require_valid(sol: Solution) -> None:
     report = validate(sol)
     if not report.ok:
         raise InvalidSolution(report)
+
+
+def _direction(sol: Solution) -> tuple[int, int] | None:
+    """The direction ``(n, m)`` of every wave of ``sol``, or None for a family without one."""
+    return (sol.n, sol.m) if isinstance(sol, UnidirectionalSolution) else None
 
 
 # --------------------------------------------------------------------------

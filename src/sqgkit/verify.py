@@ -33,7 +33,7 @@ import numpy as np
 from . import solutions as _sol
 from .errors import DegenerateFit, DomainError, InvalidSolution, UnderResolved, ZeroField
 from .integrator import SolverParams, Trajectory, simulate
-from .solutions import ValidationReport, validate
+from .solutions import _HARD_CODES, ValidationReport, validate
 from .spectral import (GridSpec, PhysicalField, _advect, _dealiased,
                        _frac_laplacian_multiplier, _mirror_sum, _to_coefficients, _to_values,
                        _velocity_nodes, _workspace)
@@ -82,14 +82,6 @@ def max_mode(sol) -> tuple[int, int]:
             max((abs(q) for _, q, _, _ in waves), default=0))
 
 
-# Validation codes that make pointwise evaluation itself meaningless.  The
-# Pythagorean coupling constraint is deliberately NOT among them: a
-# constraint-breaking candidate still defines a perfectly good field, and the
-# residual report is exactly the tool that exposes its non-exactness.
-_HARD_CODES = frozenset({"kappa", "alpha", "rate", "nm_zero", "k_zero", "modes_dup",
-                         "nonfinite"})
-
-
 def _residual_terms(sol, grid: GridSpec) -> tuple[tuple, tuple]:
     """``(linear, advection)``: the residual of ``sol`` on ``grid`` as rate-weighted terms.
 
@@ -121,9 +113,8 @@ def _residual_terms(sol, grid: GridSpec) -> tuple[tuple, tuple]:
         ws = _workspace(grid, True)
         patterns = entry["patterns"]
         coefs = [_to_coefficients(pattern, grid) for _, pattern in patterns]
-        direction = (sol.n, sol.m) if isinstance(sol, _sol.UnidirectionalSolution) else None
         entry["grams"] = _pattern_grams(tuple(rate for rate, _ in patterns), coefs, grid,
-                                        direction)
+                                        _sol._direction(sol))
         sums: dict[tuple[int, int], np.ndarray] = {}
         for i, coef_i in enumerate(coefs):
             _velocity_nodes(_dealiased(coef_i, grid, ws.theta), grid, ws)
@@ -243,8 +234,8 @@ def residual(sol, t: float, grid: GridSpec, kappa: float | None = None,
             convenient for parameter sweeps.
 
     Returns:
-        Norms of ∂θ/∂t + u·∇θ + κ(-Δ)^α θ; all below 1e-10 for valid
-        solutions on grids up to 256².
+        Norms of ∂θ/∂t + u·∇θ + κ(-Δ)^α θ; for valid solutions round-off that grows as
+        amplitude², below 1e-10 for coefficients up to about 20 on 256² and 50 on 64².
 
     Raises:
         InvalidSolution: For violations that break evaluation itself (bad
@@ -401,18 +392,16 @@ def solver_vs_exact(sol, params: SolverParams, grid: GridSpec) -> list[tuple[flo
     if (params.kappa, params.alpha) != (sol.kappa, sol.alpha):
         raise DomainError(f"solver kappa, alpha = {params.kappa}, {params.alpha} differ from "
                           f"the solution's {sol.kappa}, {sol.alpha}")
-    return _solver_error(sol, _sol.eval_theta(sol, 0.0, grid), params)[1]
+    return _solver_series(sol, simulate(_sol.eval_theta(sol, 0.0, grid), params))
 
 
-def _solver_error(sol, initial: PhysicalField, params: SolverParams) -> tuple[Trajectory, list]:
-    """``(trajectory, series)``: the solver run from ``initial = θ(0)`` of the
-    valid ``sol``, and its :func:`solver_vs_exact` series."""
-    grid = initial.grid
-    traj = simulate(initial, params)
+def _solver_series(sol, traj: Trajectory) -> list[tuple[float, float]]:
+    """The :func:`solver_vs_exact` series of ``traj``, a run from θ(0) of the valid ``sol``."""
+    grid = traj.grid
     series = []
     for snap in traj.snapshots:
         exact = _sol.eval_theta(sol, snap.t, grid)
         diff = snap.field.values - exact.values
         err = float(np.sqrt(np.sum(diff**2) * grid.cell_area))
         series.append((snap.t, err / max(exact.l2_norm(), 1e-300)))
-    return traj, series
+    return series
