@@ -9,10 +9,11 @@ Subcommands::
     sqg scenario  run a builtin scenario (figure1, constantin-negative) or a
                   config file
 
-Flags mirror config keys; when both a config file and flags are given, flags
-win.  Exit codes: 0 success, 1 verification failure, 2 usage/config error
-(a bad parameter, from every subcommand), 3 runtime error (blowup, I/O
-failure).
+``simulate`` has a flag per top-level config key (``--t-end`` for ``t_end``);
+flags reach :func:`~sqgkit.fileio.parse_config` as values that win over the
+config file's, and an error in one names the flag.  Exit codes: 0 success,
+1 verification failure, 2 usage/config error (a bad parameter, from every
+subcommand), 3 runtime error (blowup, I/O failure).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import sys
 
 from .errors import (ConfigError, DomainError, FormatError, InvalidSolution, SqgError,
                      UnderResolved)
-from .fileio import (_TOP_KEYS, _check_levels, _section_header, parse_config, parse_grid,
-                     read_field_csv, read_field_csv_time, render_contour, write_field_csv)
+from .fileio import (_TOP_KEYS, _check_levels, _flag, parse_config, parse_grid, read_field_csv,
+                     read_field_csv_time, render_contour, write_field_csv)
 from .integrator import parameter_issues
 from .scenario import builtin_scenarios, run_builtin, run_scenario
 from .solutions import _HARD_CODES, builtin_samples, validate
@@ -37,21 +38,8 @@ __all__ = ["main"]
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="config file; flags override its values")
-    p.add_argument("--solution", help="builtin solution or datum name")
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--grid", help='resolution, e.g. "64" or "64x32"')
-    p.add_argument("--snapshots", help="comma-separated snapshot times")
-    p.add_argument("--dealias", choices=["true", "false"])
-    p.add_argument("--outdir")
-    p.add_argument("--outputs", help="comma list from {csv, ppm, report}")
-    p.add_argument("--levels", type=int)
-    p.add_argument("--mode", choices=["auto", "exact", "simulate", "both"])
-    p.add_argument("--name")
-    p.add_argument("--require-correlation-below", dest="require_correlation_below",
-                   type=float)
+    for key in _TOP_KEYS:   # values are checked by parse_config, as in a file
+        p.add_argument(_flag(key))
 
 
 def _config_text(path) -> str:
@@ -65,26 +53,6 @@ def _config_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError([(path, f"not UTF-8 text: {exc}")]) from exc
-
-
-def _merged_config(args) -> str:
-    """File text (if any) plus one override line per given flag; last wins."""
-    text = _config_text(args.config) if args.config else ""
-    return _with_overrides(text, [f"{key} = {value}" for key, value in vars(args).items()
-                                  # parser order, not the hash-seeded set order
-                                  if key in _TOP_KEYS and value is not None])
-
-
-def _with_overrides(text: str, overrides: list[str]) -> str:
-    """``text`` with the top-level ``overrides`` lines put where its top-level keys end.
-
-    That is before its first ``[section]`` header: after it, a line would be
-    read as a key of that section.  A later assignment wins, so the lines
-    override the file's top-level values.
-    """
-    lines = text.splitlines()
-    head = next((i for i, line in enumerate(lines) if _section_header(line)), len(lines))
-    return "\n".join(lines[:head] + overrides + lines[head:]) + "\n"
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -137,8 +105,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = parse_config(_merged_config(args))
-    result = run_scenario(config)
+    text = _config_text(args.config) if args.config else ""
+    overrides = [(key, getattr(args, key)) for key in _TOP_KEYS if getattr(args, key) is not None]
+    result = run_scenario(parse_config(text, overrides))
     _print_checks(result)
     return result.exit_code
 
@@ -196,10 +165,8 @@ def _cmd_scenario(args) -> int:
     if args.target in builtin_scenarios():
         result = run_builtin(args.target, outdir=args.outdir)
     else:
-        text = _config_text(args.target)
-        if args.outdir:
-            text = _with_overrides(text, [f"outdir = {args.outdir}"])
-        result = run_scenario(parse_config(text))
+        overrides = [("outdir", args.outdir)] if args.outdir else []
+        result = run_scenario(parse_config(_config_text(args.target), overrides))
     _print_checks(result)
     return result.exit_code
 

@@ -6,7 +6,8 @@ Line-oriented ``key = value`` text.  ``#`` starts a comment (full-line or
 trailing), blank lines are ignored, and ``[section]`` headers group keys.
 Top-level keys describe the run; an optional ``[solution]`` section defines an
 explicit solution instead of referencing a builtin by name.  Later assignments
-to the same key win, which is how command-line overrides are implemented.
+to the same key win.  Command-line flags are ``overrides`` of
+:func:`parse_config`: values, not config lines.
 
 Top-level keys::
 
@@ -93,10 +94,8 @@ MAX_LEVELS = 4096   # contour bands; the colour table is built one band at a tim
 _CSV_BLOCK_VALUES = 2048   # values formatted per write, about 200 bytes each meanwhile
 _RENDER_BLOCK_VALUES = 1 << 15   # pixels rendered per write, about 19 bytes each meanwhile
 
-_TOP_KEYS = {
-    "solution", "kappa", "alpha", "grid", "t_end", "dt", "snapshots", "dealias",
-    "outdir", "outputs", "levels", "mode", "name", "require_correlation_below",
-}
+_TOP_KEYS = ("solution", "kappa", "alpha", "dt", "t_end", "grid", "snapshots", "dealias",
+             "outdir", "outputs", "levels", "mode", "name", "require_correlation_below")
 _SOLUTION_KEYS = {"family", "n", "m", "k", "modes",
                   "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8"}
 _REQUIRED = ("solution", "kappa", "alpha", "grid", "t_end")
@@ -145,11 +144,20 @@ def _parse_bool(raw: str):
     return None
 
 
-def parse_config(text: str) -> ScenarioConfig:
+def _flag(key: str) -> str:
+    """The command-line flag that overrides the top-level ``key``."""
+    return "--" + key.replace("_", "-")
+
+
+def parse_config(text: str, overrides=()) -> ScenarioConfig:
     """Parse and validate the documented key=value scenario format.
 
+    ``overrides`` are ``(key, value)`` pairs of top-level keys, applied after
+    the file's entries, so they win.  A value is stripped as a file value is
+    and may hold a ``#``; a line break in it is an error.
+
     All problems found in one pass are reported together, each tagged with its
-    line number.
+    line number, or for an override with its flag (:func:`_flag`).
 
     Raises:
         ParseError: Malformed lines or missing required keys.
@@ -160,7 +168,7 @@ def parse_config(text: str) -> ScenarioConfig:
     syntax: list = []      # (line, message) — malformed lines / missing keys
     unknown: list = []     # unknown key assignments
     semantic: list = []    # range/constraint problems
-    top: dict[str, tuple[int, str]] = {}
+    top: dict[str, tuple[int | str, str]] = {}   # key: (line or flag, value)
     sol_section: dict[str, tuple[int, str]] = {}
     section = None
 
@@ -191,6 +199,14 @@ def parse_config(text: str) -> ScenarioConfig:
                 unknown.append((lineno, f"unknown key {key!r} in [solution]"))
             else:
                 sol_section[key] = (lineno, value)
+    for key, value in overrides:
+        flag = _flag(key)
+        if "".join(value.splitlines()) != value:   # it drops every line break
+            syntax.append((flag, f"{key} must not contain a line break, got {value!r}"))
+        elif key not in _TOP_KEYS:
+            unknown.append((flag, f"unknown key {key!r}"))
+        else:
+            top[key] = (flag, value.strip())
 
     for key in _REQUIRED:
         if key not in top and not (key == "solution" and sol_section):

@@ -166,14 +166,14 @@ def _step_work(grid: GridSpec, dealias: bool) -> _StepWork:
 
 
 def _ifrk4_step(c: np.ndarray, h: float, half_e: np.ndarray, full_e: np.ndarray,
-                grid: GridSpec, dealias: bool, work: _StepWork | None = None) -> np.ndarray:
+                grid: GridSpec, dealias: bool, work: _StepWork) -> np.ndarray:
     """One IFRK4 step of dθ̂/dt = -N(θ̂) - sym·θ̂ with N the advection term.
 
     ``c`` and the result are half spectra, and the result is a new array.  N
     reads and writes only the leading ``_advection_width`` columns, so the
-    stages run on those columns, in ``work`` (new arrays without it).  Every
-    stage term is 0 in the columns the 2/3 rule drops, so there the step is
-    ``full_e * c``.  Each operation is the one the textbook form
+    stages run on those columns, in ``work``.  Every stage term is 0 in the
+    columns the 2/3 rule drops, so there the step is ``full_e * c``.  Each
+    operation is the one the textbook form
 
         n1 = -N(c),  n2 = -N(E½(c + h/2 n1)),  n3 = -N(E½c + h/2 n2),
         n4 = -N(E c + h E½ n3),  E c + h/6 (E n1 + 2E½ (n2 + n3) + n4)
@@ -181,7 +181,7 @@ def _ifrk4_step(c: np.ndarray, h: float, half_e: np.ndarray, full_e: np.ndarray,
     performs, in the same order, so the result is the same bit for bit.
     """
     width = _advection_width(grid, dealias)
-    ws, n1, n2, n3, n4, x, two_he = _step_work(grid, dealias) if work is None else work
+    ws, n1, n2, n3, n4, x, two_he = work
     cw, he, fe = c[:, :width], half_e[:, :width], full_e[:, :width]
 
     def stage(theta, n):   # n = -N(theta)

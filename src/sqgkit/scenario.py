@@ -21,6 +21,7 @@ byte-identical reports.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -173,14 +174,18 @@ def _run(config: ScenarioConfig) -> tuple[list, list]:
     # The initial field and the closed-form rows, then one march and its rows.
     if exact:
         single_e = _single_eigenvalue(sol)
-        initial = eval_theta(sol, 0.0, config.grid)
-        nonzero = initial.values.any()   # a zero field has no off-ray fraction
-        # θ(t) itself is built only to be written; the checks below are
-        # quadratic forms of the fixed patterns (``verify._Grams``).
         writes = mode != "simulate" and not {"csv", "ppm"}.isdisjoint(config.outputs)
+        # θ(t) itself is built only to be written and for the solver error, once
+        # per time: each is kept when it is written and then compared, else only
+        # the last; the checks below are quadratic forms of the fixed patterns
+        # (``verify._Grams``).
+        theta = functools.lru_cache(None if writes and params else 1)(
+            lambda t: eval_theta(sol, t, config.grid))
+        initial = theta(0.0)
+        nonzero = initial.values.any()   # a zero field has no off-ray fraction
         for t in times:
             if writes:
-                emit(initial if t == 0.0 else eval_theta(sol, t, config.grid), t)
+                emit(theta(t), t)
             rep = verify.residual(sol, t, config.grid)
             checks.append(CheckResult("residual_linf", name, t, rep.l_inf,
                                       f"<={RESIDUAL_TOL:g}", rep.l_inf <= RESIDUAL_TOL))
@@ -210,7 +215,7 @@ def _run(config: ScenarioConfig) -> tuple[list, list]:
     if traj is None:
         return checks, artifacts
     if exact:
-        worst = max(err for _, err in verify._solver_series(sol, traj))
+        worst = max(err for _, err in verify._solver_series(theta, traj))
         checks.append(CheckResult("solver_rel_l2", name, config.t_end, worst,
                                   f"<={SOLVER_TOL:g}", worst <= SOLVER_TOL))
         if single_e and len(traj.snapshots) >= 3:

@@ -392,15 +392,16 @@ def solver_vs_exact(sol, params: SolverParams, grid: GridSpec) -> list[tuple[flo
     if (params.kappa, params.alpha) != (sol.kappa, sol.alpha):
         raise DomainError(f"solver kappa, alpha = {params.kappa}, {params.alpha} differ from "
                           f"the solution's {sol.kappa}, {sol.alpha}")
-    return _solver_series(sol, simulate(_sol.eval_theta(sol, 0.0, grid), params))
+    return _solver_series(lambda t: _sol.eval_theta(sol, t, grid),
+                          simulate(_sol.eval_theta(sol, 0.0, grid), params))
 
 
-def _solver_series(sol, traj: Trajectory) -> list[tuple[float, float]]:
-    """The :func:`solver_vs_exact` series of ``traj``, a run from θ(0) of the valid ``sol``."""
+def _solver_series(theta, traj: Trajectory) -> list[tuple[float, float]]:
+    """The :func:`solver_vs_exact` series of ``traj`` against the closed form ``theta(t)``."""
     grid = traj.grid
     series = []
     for snap in traj.snapshots:
-        exact = _sol.eval_theta(sol, snap.t, grid)
+        exact = theta(snap.t)
         diff = snap.field.values - exact.values
         err = float(np.sqrt(np.sum(diff**2) * grid.cell_area))
         series.append((snap.t, err / max(exact.l2_norm(), 1e-300)))

@@ -40,7 +40,7 @@ def test_name_flag_with_a_separator_exits_2_and_writes_nothing(name, tmp_path, c
                  "--outdir", "o", "--name", name])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("config error: line ") and "name must not contain" in err
+    assert err.startswith("config error: --name: ") and "name must not contain" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 

@@ -221,7 +221,8 @@ class TestBlowupGuard:
                 c0 = integrator._half_spectrum(state.coefficients, grid32)
                 sym = integrator._symbol(grid32, params.kappa, params.alpha)
                 half_e = np.exp(-0.5 * dt * sym)
-                c = integrator._ifrk4_step(c0, dt, half_e, half_e * half_e, grid32, True)
+                c = integrator._ifrk4_step(c0, dt, half_e, half_e * half_e, grid32, True,
+                                           integrator._step_work(grid32, True))
                 linf0 = np.abs(integrator._to_values(c0, grid32)).max()
                 try:
                     integrator._guard_blowup(c, grid32, dt, linf0)

@@ -106,3 +106,23 @@ def test_simulate_at_t_end_0_writes_the_initial_field(solution, tmp_path):
     stem = f"{solution}_sim" if sample.exact else solution
     field = read_field_csv(tmp_path / f"{stem}_t0.csv")
     assert np.array_equal(field.values, initial.values)
+
+
+@pytest.mark.parametrize("mode", ["auto", "exact", "both", "simulate"])
+@pytest.mark.parametrize("outputs", ["csv, ppm, report", "report"])
+def test_each_closed_form_is_built_once_per_time(mode, outputs, tmp_path, monkeypatch):
+    from sqgkit import scenario, solutions
+
+    times = []
+
+    def counted(sol, t, grid):
+        times.append(t)
+        return eval_theta(sol, t, grid)
+
+    monkeypatch.setattr(scenario, "eval_theta", counted)
+    monkeypatch.setattr(solutions, "eval_theta", counted)   # verify's binding
+    config = _config("theta1", mode, 0.1, tmp_path)
+    config.outputs = tuple(kind.strip() for kind in outputs.split(","))
+    run_scenario(config)
+    closed_forms = mode != "exact" or "csv" in outputs   # written, or checked against the march
+    assert times == ([0.0, 0.05, 0.1] if closed_forms else [0.0])

@@ -3,9 +3,10 @@ one grid parser, one CSV header reader, and exit code 2 for every bad input."""
 
 import pytest
 
-from sqgkit.cli import _build_parser, _merged_config, main
-from sqgkit.errors import ConstraintViolation, FormatError
-from sqgkit.fileio import (ScenarioConfig, parse_config, parse_grid, read_field_csv,
+from sqgkit import cli
+from sqgkit.cli import main
+from sqgkit.errors import ConfigError, ConstraintViolation, FormatError
+from sqgkit.fileio import (_TOP_KEYS, ScenarioConfig, parse_config, parse_grid, read_field_csv,
                            read_field_csv_time, render_contour)
 from sqgkit.integrator import SolverParams
 from sqgkit.scenario import run_builtin, run_scenario
@@ -137,16 +138,22 @@ class TestBadParametersExit2:
 
 
 class TestConfigKeys:
-    def test_flags_become_config_lines_in_parser_order(self):
-        keys = ("solution", "kappa", "alpha", "dt", "t_end", "grid", "snapshots", "dealias",
-                "outdir", "outputs", "levels", "mode", "name", "require_correlation_below")
+    def test_flags_reach_parse_config_as_pairs_in_key_order(self, monkeypatch):
         values = ("theta1", "0.1", "0.5", "0.01", "1.0", "32", "0.5", "true", "out", "report",
                   "5", "both", "x", "0.5")
+        assert len(values) == len(_TOP_KEYS)
         argv = ["simulate"]
-        for key, value in zip(keys, values):
+        for key, value in reversed(list(zip(_TOP_KEYS, values))):   # order on the line is moot
             argv += ["--" + key.replace("_", "-"), value]
-        text = _merged_config(_build_parser().parse_args(argv))
-        assert text.splitlines() == [f"{k} = {v}" for k, v in zip(keys, values)]
+        calls = []
+
+        def fake_parse_config(*args):
+            calls.append(args)
+            raise ConfigError("stop")
+
+        monkeypatch.setattr(cli, "parse_config", fake_parse_config)
+        assert main(argv) == 2
+        assert calls == [("", list(zip(_TOP_KEYS, values)))]
 
 
 class TestHugeWavenumber:

@@ -157,7 +157,8 @@ class TestAllocationBudget:
 
         def run(i):
             for _ in range(20):
-                c = integrator._ifrk4_step(states[i], 0.005, half_e, full_e, grid, True)
+                c = integrator._ifrk4_step(states[i], 0.005, half_e, full_e, grid, True,
+                                           integrator._step_work(grid, True))
                 n = _nonlinear_hat(states[i], grid, True)
                 wrong[i] += not (np.array_equal(_bits(c), want[i][0])
                                  and np.array_equal(n, want[i][1]))
@@ -191,8 +192,9 @@ class TestNoAliasing:
             "nonlinear_term": lambda s: nonlinear_term(s, dealias).coefficients,
             "step": lambda s: step(s, params).coefficients,
             "_nonlinear_hat": lambda s: _nonlinear_hat(half(s), grid, dealias),
-            "_ifrk4_step": lambda s: integrator._ifrk4_step(half(s), params.dt, half_e, full_e,
-                                                            grid, dealias),
+            "_ifrk4_step": lambda s: integrator._ifrk4_step(
+                half(s), params.dt, half_e, full_e, grid, dealias,
+                integrator._step_work(grid, dealias)),
         }
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StabilityWarning)
