@@ -28,7 +28,7 @@ from .errors import (ConfigError, DomainError, FormatError, InvalidSolution, Sqg
 from .fileio import (_TOP_KEYS, _check_levels, _flag, parse_config, parse_grid, read_field_csv,
                      read_field_csv_time, render_contour, write_field_csv)
 from .integrator import parameter_issues
-from .scenario import builtin_scenarios, run_builtin, run_scenario
+from .scenario import RESIDUAL_TOL, builtin_scenarios, run_builtin, run_scenario
 from .solutions import _HARD_CODES, builtin_samples, validate
 from .spectral import GridSpec
 from .verify import residual
@@ -115,7 +115,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     samples = builtin_samples()
     if args.solution not in samples:
-        print(f"verify: unknown solution {args.solution!r}", file=sys.stderr)
+        print(f"verify: unknown solution {args.solution!r}; known: "
+              f"{', '.join(samples)}", file=sys.stderr)
         return 2
     sample = samples[args.solution]
     sol = sample.solution(args.kappa, args.alpha)
@@ -165,7 +166,7 @@ def _cmd_scenario(args) -> int:
     if args.target in builtin_scenarios():
         result = run_builtin(args.target, outdir=args.outdir)
     else:
-        overrides = [("outdir", args.outdir)] if args.outdir else []
+        overrides = [] if args.outdir is None else [("outdir", args.outdir)]
         result = run_scenario(parse_config(_config_text(args.target), overrides))
     _print_checks(result)
     return result.exit_code
@@ -208,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.001)
     p.add_argument("--grid", default="64")
     p.add_argument("--times", default="0,1,10")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=RESIDUAL_TOL)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("render", help="render a field CSV to a PPM image")

@@ -19,7 +19,7 @@ Top-level keys::
     dt         time step (required when t_end > 0), <= t_end; t_end/dt <= 1e7 steps
     snapshots  comma-separated times in [0, t_end]
     dealias    true/false (default true)
-    outdir     artifact directory (default "sqg-out")
+    outdir     artifact directory, not empty (default "sqg-out")
     outputs    comma list from {csv, ppm, report}; "pgm" is accepted as an
                alias for ppm (default all three)
     levels     contour quantization bands, in [2, 4096] (default 21)
@@ -290,7 +290,9 @@ def parse_config(text: str, overrides=()) -> ScenarioConfig:
         semantic.append((top["name"][0], f"name must not contain ',', a path "
                                          f"separator or a NUL byte, got {name!r}"))
     outdir = top.get("outdir", (0, "sqg-out"))[1]
-    if "\0" in outdir:   # no path holds one
+    if not outdir:   # no directory has an empty name
+        semantic.append((top["outdir"][0], "outdir must not be empty"))
+    elif "\0" in outdir:   # no path holds one
         semantic.append((top["outdir"][0], f"outdir must not contain a NUL byte, got {outdir!r}"))
     if "solution" in top and sol_section:
         lineno = sol_section[next(iter(sol_section))][0]
@@ -571,7 +573,7 @@ def read_field_csv(path) -> PhysicalField:
     """
     with open(path, "r", encoding="utf-8") as fh:
         n_x, n_y, _ = _read_header(_lines(fh, path), path)
-    values = None if max(n_x, n_y) > MAX_EXTENT else _load_rows(path, n_x, n_y)
+    values = None if max(n_x, n_y) > MAX_EXTENT else _read_canonical(path, n_x, n_y)
     if values is None:
         values = _read_rows(path)
     grid = _header_grid(n_x, n_y, path)
@@ -637,9 +639,6 @@ def _read_canonical(path, n_x: int, n_y: int) -> np.ndarray | None:
     if tail or done != out.size:
         return None
     return out.reshape(n_y, n_x)
-
-
-_load_rows = _read_canonical   # the fast tier; tests switch it off here
 
 
 def _parse_tokens(text: bytes, cut: int, out: np.ndarray, start: int, n_x: int) -> int | None:

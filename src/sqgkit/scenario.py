@@ -131,7 +131,6 @@ def _finish(outdir: str, checks: list, artifacts: list, report: bool) -> Scenari
 
 def _run(config: ScenarioConfig) -> tuple[list, list]:
     """Run one config and write its field artifacts; returns ``(checks, artifacts)``."""
-    os.makedirs(config.outdir, exist_ok=True)
     artifacts: list[str] = []
     checks: list[CheckResult] = []
 
@@ -153,6 +152,7 @@ def _run(config: ScenarioConfig) -> tuple[list, list]:
         raise ConstraintViolation(
             "require_correlation_below needs a non-exact datum simulated to t_end > 0; "
             f"{config.name or 'this run'} is {'exact' if exact else 'not simulated'}")
+    os.makedirs(config.outdir, exist_ok=True)   # after the config checks: an error creates nothing
 
     name = config.name or "field"
     times = sorted({0.0, float(config.t_end), *config.snapshot_times})

@@ -1,7 +1,7 @@
 """Field CSV and contour PPM paths: exactness, error reports, budgets.
 
 The reader parses a canonical file in numpy and leaves every other file to
-the row loop, which is also the reader's oracle here: with ``_load_rows``
+the row loop, which is also the reader's oracle here: with ``_read_canonical``
 switched off, ``read_field_csv`` runs only that loop.  The writers are held
 byte for byte to the row-by-row CSV writer and the ``(levels, 3)``-gather
 renderer kept in ``tests/oracles.py``.
@@ -46,7 +46,7 @@ def _outcome(path):
 
 def _loop_outcome(path, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(fileio, "_load_rows", lambda lines, n_x, n_y: None)
+        m.setattr(fileio, "_read_canonical", lambda path, n_x, n_y: None)
         return _outcome(path)
 
 
@@ -112,7 +112,7 @@ def test_fast_reader_matches_the_row_loop(name, tmp_path, monkeypatch):
         warnings.simplefilter("always")
         fast = _outcome(path)
     assert fast == _loop_outcome(path, monkeypatch)
-    assert not caught   # numpy's "no data" warning stays inside the reader
+    assert not caught   # the reader warns of nothing
 
 
 class TestCanonicalReadBudget:
@@ -131,7 +131,7 @@ class TestCanonicalReadBudget:
         path = tmp_path / "f.csv"
         write_field_csv(_field(GridSpec(256, 256)), path)
         fast = _traced_peak(read_field_csv, path)
-        monkeypatch.setattr(fileio, "_load_rows", lambda lines, n_x, n_y: None)
+        monkeypatch.setattr(fileio, "_read_canonical", lambda path, n_x, n_y: None)
         assert fast <= _traced_peak(read_field_csv, path)
 
     def test_write_peak_is_one_block(self, tmp_path):
@@ -143,7 +143,7 @@ class TestCanonicalReadBudget:
         assert eight <= 2**20
 
     def test_short_file_allocates_no_header_sized_array(self, tmp_path):
-        # loadtxt's max_rows would allocate 8193 x 8192 doubles (537 MB) here.
+        # A reader that trusted the header would allocate 8192 x 8192 doubles (537 MB) here.
         path = tmp_path / "f.csv"
         path.write_text("# 8192,8192,0\n" + ",".join(["0"] * 8192) + "\n")
         tracemalloc.start()

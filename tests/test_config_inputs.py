@@ -1,7 +1,8 @@
-"""Config inputs that used to end in a traceback or exit 3: a config file
-that is not UTF-8 text, a directory given as a file, and a NUL byte in
-``name`` or ``outdir``.  Each is a config error, exit code 2, and a NUL byte
-is rejected before anything is created."""
+"""Config inputs that used to end in a traceback, exit 3 or a stray directory:
+a config file that is not UTF-8 text, a directory given as a file, a NUL byte
+in ``name`` or ``outdir``, an empty ``outdir``, and a mode or correlation
+requirement the solution cannot take.  Each is a config error, exit code 2,
+and all but the first two are rejected before anything is created."""
 
 import pytest
 
@@ -58,3 +59,34 @@ def test_nul_byte_exits_2_and_creates_nothing(line, tmp_path, capsys, monkeypatc
     assert main(["scenario", str(cfg)]) == 2
     _config_error(capsys, "NUL byte")
     assert list(run.iterdir()) == []
+
+
+_FLAGS = ["--kappa", "0.01", "--alpha", "0.5", "--grid", "16", "--t-end", "0"]
+
+
+@pytest.mark.parametrize("line,argv,where", [
+    (b"outdir =\n", ["scenario", "{cfg}"], "line 6: outdir must not be empty"),
+    (b"", ["simulate", "--config", "{cfg}", "--outdir", ""], "--outdir: outdir must not be empty"),
+    (b"outdir = o\n", ["scenario", "{cfg}", "--outdir", ""], "--outdir: outdir must not be empty"),
+], ids=["file", "simulate-flag", "scenario-flag"])
+def test_empty_outdir_exits_2_and_creates_nothing(line, argv, where, tmp_path, capsys,
+                                                  monkeypatch):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_bytes(_CONFIG + line)
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    assert main([arg.format(cfg=cfg) for arg in argv]) == 2
+    _config_error(capsys, where)
+    assert list(run.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra,needle", [
+    (["--solution", "con-1", "--mode", "exact"], "requires an exact solution"),
+    (["--solution", "theta1", "--require-correlation-below", "0.5"], "require_correlation_below"),
+], ids=["exact-mode-on-datum", "correlation-on-exact"])
+def test_run_check_exits_2_before_outdir_is_made(extra, needle, tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["simulate", *_FLAGS, *extra, "--outdir", str(out)]) == 2
+    _config_error(capsys, needle)
+    assert not out.exists()

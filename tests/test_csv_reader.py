@@ -21,10 +21,6 @@ from sqgkit.fileio import read_field_csv, write_field_csv
 from sqgkit.spectral import GridSpec, PhysicalField
 
 
-def _no_loadtxt(*args, **kwargs):
-    raise AssertionError("numpy's parser ran on a canonical file")
-
-
 def _no_loop(path):
     raise AssertionError("the row loop ran on a canonical file")
 
@@ -32,7 +28,6 @@ def _no_loop(path):
 @pytest.fixture
 def canonical_only(monkeypatch):
     """Fail the test if a read leaves the canonical reader."""
-    monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
     monkeypatch.setattr(fileio, "_read_rows", _no_loop)
 
 
@@ -68,7 +63,7 @@ def _outcome(path):
 
 def _loop_outcome(path, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(fileio, "_load_rows", lambda path, n_x, n_y: None)
+        m.setattr(fileio, "_read_canonical", lambda path, n_x, n_y: None)
         return _outcome(path)
 
 
@@ -165,7 +160,7 @@ def test_rows_and_tokens_longer_than_a_chunk(tmp_path, monkeypatch, canonical_on
     path = tmp_path / "f.csv"
     write_field_csv(f, path)
     assert np.array_equal(read_field_csv(path).values.view(np.uint64), _bits(f.values))
-    # A token no chunk holds to its end is the C parser's.
+    # A token no chunk holds to its end is left to the row loop.
     monkeypatch.setattr(fileio, "_READ_CHUNK_BYTES", 16)
     assert fileio._read_canonical(path, 200, 6) is None
 

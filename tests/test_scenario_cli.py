@@ -11,7 +11,7 @@ import pytest
 from sqgkit.cli import main
 from sqgkit.errors import ConstraintViolation
 from sqgkit.fileio import ScenarioConfig, parse_config, read_field_csv, read_field_csv_time
-from sqgkit.scenario import builtin_scenarios, run_builtin, run_scenario
+from sqgkit.scenario import RESIDUAL_TOL, builtin_scenarios, run_builtin, run_scenario
 from sqgkit.spectral import GridSpec
 
 
@@ -198,12 +198,17 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "PASS" in out and out.count("t = ") == 3
+        assert f"tolerance {RESIDUAL_TOL:g}" in out   # the scenario's residual gate
 
     def test_verify_rejects_con1(self, capsys):
         assert main(["verify", "--solution", "con-1"]) == 1
         out = capsys.readouterr().out
         assert "NOT an exact solution" in out
         assert "2 != 1" in out
+
+    def test_verify_unknown_solution_lists_the_known(self, capsys):
+        assert main(["verify", "--solution", "theta9"]) == 2
+        assert "unknown solution 'theta9'; known: theta1, theta2" in capsys.readouterr().err
 
     def test_verify_bad_grid_is_a_usage_error(self, capsys):
         assert main(["verify", "--solution", "theta1", "--grid", "13"]) == 2
