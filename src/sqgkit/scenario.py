@@ -14,6 +14,15 @@ the mode is not ``exact`` and t_end > 0.  ``simulate`` writes its records, as
 ``{name}_sim_t*`` for an exact solution and ``{name}_t*`` for a datum (at
 t_end = 0 the initial field alone); the others write the closed form.
 
+A run takes three steps, so a failed config check, a grid too coarse for the
+solution or a blowup leaves no ``outdir``:
+
+1. the closed-form rows for every time, which need no field;
+2. the one solver call;
+3. ``outdir`` is made, and one pass over the times builds each closed-form
+   θ(t) at most once, writes it or the solver's record, and adds to the
+   solver error; the solver's trailing rows and ``report.csv`` follow.
+
 Report rows have columns ``check,subject,time,value,threshold,status`` with
 all floats at 17 significant digits, so identical configs produce
 byte-identical reports.
@@ -21,12 +30,11 @@ byte-identical reports.
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 
 from . import verify
-from .errors import ConstraintViolation
+from .errors import ConfigError, ConstraintViolation
 from .fileio import ScenarioConfig, render_contour, write_field_csv
 from .integrator import SolverParams, simulate
 from .solutions import _waves, builtin_samples, eval_theta, validate
@@ -131,7 +139,6 @@ def _finish(outdir: str, checks: list, artifacts: list, report: bool) -> Scenari
 
 def _run(config: ScenarioConfig) -> tuple[list, list]:
     """Run one config and write its field artifacts; returns ``(checks, artifacts)``."""
-    artifacts: list[str] = []
     checks: list[CheckResult] = []
 
     if isinstance(config.solution, str):
@@ -152,7 +159,6 @@ def _run(config: ScenarioConfig) -> tuple[list, list]:
         raise ConstraintViolation(
             "require_correlation_below needs a non-exact datum simulated to t_end > 0; "
             f"{config.name or 'this run'} is {'exact' if exact else 'not simulated'}")
-    os.makedirs(config.outdir, exist_ok=True)   # after the config checks: an error creates nothing
 
     name = config.name or "field"
     times = sorted({0.0, float(config.t_end), *config.snapshot_times})
@@ -162,30 +168,14 @@ def _run(config: ScenarioConfig) -> tuple[list, list]:
                               t_end=config.t_end, dealias=config.dealias,
                               snapshot_times=tuple(times))
 
-    def emit(field, t, prefix=name):
-        base = os.path.join(config.outdir, f"{prefix}_t{_time_tag(t)}")
-        if "csv" in config.outputs:
-            write_field_csv(field, base + ".csv", t=t)
-            artifacts.append(base + ".csv")
-        if "ppm" in config.outputs:
-            render_contour(field, base + ".ppm", levels=config.levels)
-            artifacts.append(base + ".ppm")
-
-    # The initial field and the closed-form rows, then one march and its rows.
+    # 1. The closed-form rows.  They are quadratic forms of the fixed patterns
+    # (``verify._Grams``), so they need no θ(t) but the initial field, and a
+    # grid too coarse for the solution raises here, before anything is written.
     if exact:
         single_e = _single_eigenvalue(sol)
-        writes = mode != "simulate" and not {"csv", "ppm"}.isdisjoint(config.outputs)
-        # θ(t) itself is built only to be written and for the solver error, once
-        # per time: each is kept when it is written and then compared, else only
-        # the last; the checks below are quadratic forms of the fixed patterns
-        # (``verify._Grams``).
-        theta = functools.lru_cache(None if writes and params else 1)(
-            lambda t: eval_theta(sol, t, config.grid))
-        initial = theta(0.0)
+        initial = eval_theta(sol, 0.0, config.grid)
         nonzero = initial.values.any()   # a zero field has no off-ray fraction
         for t in times:
-            if writes:
-                emit(theta(t), t)
             rep = verify.residual(sol, t, config.grid)
             checks.append(CheckResult("residual_linf", name, t, rep.l_inf,
                                       f"<={RESIDUAL_TOL:g}", rep.l_inf <= RESIDUAL_TOL))
@@ -207,15 +197,36 @@ def _run(config: ScenarioConfig) -> tuple[list, list]:
             rejected = len(validate(sol).violations)
             checks.append(CheckResult("validation_rejected", name, None, float(rejected),
                                       ">=1", rejected >= 1))
+
+    # 2. The one march; a blowup raises here, before anything is written.
     traj = None if params is None else simulate(initial, params)
-    if mode == "simulate":   # the march's records; at t_end = 0 the initial field alone
-        records = [(snap.t, snap.field) for snap in traj.snapshots] if traj else [(0.0, initial)]
-        for t, field in records:
-            emit(field, t, prefix=f"{name}_sim" if exact else name)
+
+    # 3. One pass over the times.  ``mode = simulate`` writes the march's
+    # records (at t_end = 0 the initial field alone), the others the closed
+    # form; θ(t) is built at most once, to be written or compared, or both.
+    os.makedirs(config.outdir, exist_ok=True)
+    writes = not {"csv", "ppm"}.isdisjoint(config.outputs)
+    prefix = f"{name}_sim" if exact and mode == "simulate" else name
+    artifacts: list[str] = []
+    worst = 0.0
+    for i, t in enumerate(times):
+        record = initial if traj is None else traj.snapshots[i].field
+        closed = None
+        if exact and (traj is not None or writes and mode != "simulate"):
+            closed = initial if t == 0.0 else eval_theta(sol, t, config.grid)
+        field = record if mode == "simulate" else closed
+        base = os.path.join(config.outdir, f"{prefix}_t{_time_tag(t)}")
+        if "csv" in config.outputs:
+            write_field_csv(field, base + ".csv", t=t)
+            artifacts.append(base + ".csv")
+        if "ppm" in config.outputs:
+            render_contour(field, base + ".ppm", levels=config.levels)
+            artifacts.append(base + ".ppm")
+        if closed is not None and traj is not None:
+            worst = max(worst, verify._relative_error(record, closed))
     if traj is None:
         return checks, artifacts
     if exact:
-        worst = max(err for _, err in verify._solver_series(theta, traj))
         checks.append(CheckResult("solver_rel_l2", name, config.t_end, worst,
                                   f"<={SOLVER_TOL:g}", worst <= SOLVER_TOL))
         if single_e and len(traj.snapshots) >= 3:
@@ -252,7 +263,10 @@ def run_builtin(scenario: str, outdir: str | None = None) -> ScenarioResult:
 
     Raises:
         KeyError: Unknown scenario name.
+        ConfigError: ``outdir`` is empty (None means the scenario's default).
     """
+    if outdir == "":   # as in a config file: no directory has an empty name
+        raise ConfigError([("outdir", "outdir must not be empty")])
     if scenario == "figure1":
         outdir = outdir or "figure1-out"
         checks, artifacts = [], []

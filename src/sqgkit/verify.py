@@ -162,7 +162,8 @@ class _Grams(NamedTuple):
     costs ``O(k²)`` scalars and no field.  ``centred[i, j]`` is
     ``⟨P_i - mean P_i, P_j - mean P_j⟩`` summed over the nodes; ``total`` and
     ``off_ray`` are ``Σ Re(ĉ_i conj ĉ_j)`` over the full spectrum and over
-    its part off the ray of ``_off_ray`` (``None`` without a direction).
+    its part off the ray of ``_off_ray`` (``None`` without a direction).  All
+    three share one power-of-two scale (see ``_pattern_grams``).
     """
 
     rates: tuple
@@ -197,14 +198,21 @@ def _pattern_grams(rates: tuple, coefs: list, grid: GridSpec,
     """The :class:`_Grams` of the patterns with half spectra ``coefs`` (Parseval).
 
     The mean mode is left out of every sum before it is added, so a large
-    mean does not cancel against the centred part; it is on every ray.
+    mean does not cancel against the centred part; it is on every ray.  The
+    spectra are first scaled by one power of two that brings their largest
+    part into [0.5, 1), so the products of tiny amplitudes do not underflow;
+    every check is a ratio of the sums, so the scale moves no bit of it.
     """
+    top = max((float(np.max(np.abs(part))) for c in coefs for part in (c.real, c.imag)),
+              default=0.0)
+    shift = -math.frexp(top)[1]   # ldexp by -e: 2^-e alone overflows for a subnormal top
+    parts = [(np.ldexp(c.real, shift), np.ldexp(c.imag, shift)) for c in coefs]
     k = len(coefs)
     centred, total, off = np.zeros((k, k)), np.zeros((k, k)), np.zeros((k, k))
     for i in range(k):
         for j in range(i, k):
-            cross = coefs[i].real * coefs[j].real
-            cross += coefs[i].imag * coefs[j].imag   # Re(ĉ_i conj ĉ_j)
+            cross = parts[i][0] * parts[j][0]
+            cross += parts[i][1] * parts[j][1]   # Re(ĉ_i conj ĉ_j)
             mean = cross[0, 0]
             cross[0, 0] = 0.0
             wave = _mirror_sum(cross)
@@ -392,17 +400,13 @@ def solver_vs_exact(sol, params: SolverParams, grid: GridSpec) -> list[tuple[flo
     if (params.kappa, params.alpha) != (sol.kappa, sol.alpha):
         raise DomainError(f"solver kappa, alpha = {params.kappa}, {params.alpha} differ from "
                           f"the solution's {sol.kappa}, {sol.alpha}")
-    return _solver_series(lambda t: _sol.eval_theta(sol, t, grid),
-                          simulate(_sol.eval_theta(sol, 0.0, grid), params))
+    traj = simulate(_sol.eval_theta(sol, 0.0, grid), params)
+    return [(snap.t, _relative_error(snap.field, _sol.eval_theta(sol, snap.t, grid)))
+            for snap in traj.snapshots]
 
 
-def _solver_series(theta, traj: Trajectory) -> list[tuple[float, float]]:
-    """The :func:`solver_vs_exact` series of ``traj`` against the closed form ``theta(t)``."""
-    grid = traj.grid
-    series = []
-    for snap in traj.snapshots:
-        exact = theta(snap.t)
-        diff = snap.field.values - exact.values
-        err = float(np.sqrt(np.sum(diff**2) * grid.cell_area))
-        series.append((snap.t, err / max(exact.l2_norm(), 1e-300)))
-    return series
+def _relative_error(field: PhysicalField, exact: PhysicalField) -> float:
+    """Relative L2 distance of ``field`` from the closed form ``exact``."""
+    diff = field.values - exact.values
+    err = float(np.sqrt(np.sum(diff**2) * field.grid.cell_area))
+    return err / max(exact.l2_norm(), 1e-300)

@@ -1,8 +1,8 @@
 """Config inputs that used to end in a traceback, exit 3 or a stray directory:
 a config file that is not UTF-8 text, a directory given as a file, a NUL byte
 in ``name`` or ``outdir``, an empty ``outdir``, and a mode or correlation
-requirement the solution cannot take.  Each is a config error, exit code 2,
-and all but the first two are rejected before anything is created."""
+requirement or a grid the solution cannot take.  Each is a config error, exit
+code 2, and all but the first two are rejected before anything is created."""
 
 import pytest
 
@@ -68,7 +68,9 @@ _FLAGS = ["--kappa", "0.01", "--alpha", "0.5", "--grid", "16", "--t-end", "0"]
     (b"outdir =\n", ["scenario", "{cfg}"], "line 6: outdir must not be empty"),
     (b"", ["simulate", "--config", "{cfg}", "--outdir", ""], "--outdir: outdir must not be empty"),
     (b"outdir = o\n", ["scenario", "{cfg}", "--outdir", ""], "--outdir: outdir must not be empty"),
-], ids=["file", "simulate-flag", "scenario-flag"])
+    (b"", ["scenario", "figure1", "--outdir", ""], "outdir must not be empty"),
+    (b"", ["scenario", "constantin-negative", "--outdir", ""], "outdir must not be empty"),
+], ids=["file", "simulate-flag", "scenario-flag", "figure1-flag", "constantin-negative-flag"])
 def test_empty_outdir_exits_2_and_creates_nothing(line, argv, where, tmp_path, capsys,
                                                   monkeypatch):
     cfg = tmp_path / "f.cfg"
@@ -84,7 +86,8 @@ def test_empty_outdir_exits_2_and_creates_nothing(line, argv, where, tmp_path, c
 @pytest.mark.parametrize("extra,needle", [
     (["--solution", "con-1", "--mode", "exact"], "requires an exact solution"),
     (["--solution", "theta1", "--require-correlation-below", "0.5"], "require_correlation_below"),
-], ids=["exact-mode-on-datum", "correlation-on-exact"])
+    (["--solution", "theta3", "--grid", "4", "--mode", "exact"], "resolves modes up to"),
+], ids=["exact-mode-on-datum", "correlation-on-exact", "grid-too-coarse"])
 def test_run_check_exits_2_before_outdir_is_made(extra, needle, tmp_path, capsys):
     out = tmp_path / "d"
     assert main(["simulate", *_FLAGS, *extra, "--outdir", str(out)]) == 2

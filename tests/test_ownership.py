@@ -20,9 +20,15 @@ findings that move a decision away from its owner:
 - *syntax*: flags reach ``fileio.parse_config`` as ``(key, value)`` pairs, so
   only ``fileio`` names ``_section_header`` or ``_strip_comment``, and ``cli``
   builds no f-string that starts a config line ``<key> = <value>``.
+- *writes*: ``scenario._run`` makes no directory and writes no field file
+  before its ``simulate`` call, so a failed check or a blowup leaves no
+  ``outdir``: no call of ``makedirs``, ``write_field_csv``, ``render_contour``
+  or a helper that calls one comes first (``CONTROLS`` sees ``_run`` hold
+  both calls).
 
 A new rule is one ``RULES`` entry plus its ``PLANTED`` rows; a rule with an
-owner gets a ``CONTROLS`` row too, so a scan blind to its construct fails.
+owner gets a ``CONTROLS`` row too, so a scan blind to its construct fails.  A
+control's owner is a module, or ``module:function`` when it counts one function.
 """
 
 import ast
@@ -39,6 +45,7 @@ _PARSERS = {"loadtxt", "genfromtxt", "fromstring", "fromfile"}
 _FAMILIES = {"EigenmodeSolution", "UnidirectionalSolution"}
 _NAMERS = {"solutions.py", "fileio.py", "__init__.py"}   # may name a family
 _SYNTAX = {"_section_header", "_strip_comment"}
+_WRITERS = {"makedirs", "write_field_csv", "render_contour"}
 # A key, or a placeholder for one, then "=": the head of a config line.
 _CONFIG_LINE = re.compile(r"\s*(\{\}|%s)\s*=" % "|".join(sorted({*_TOP_KEYS, *_SOLUTION_KEYS})))
 
@@ -108,6 +115,19 @@ def scan(source: str) -> list[tuple[int, str, str | None, str]]:
     return found
 
 
+def _writes_before_simulate(module, found):
+    """The calls in ``scenario._run`` above its ``simulate`` call that write:
+    a writer, or a helper that calls one."""
+    if module != "scenario.py":
+        return []
+    writers = _WRITERS | {caller for _, kind, what, caller in found
+                          if kind == "call" and what in _WRITERS}
+    march = min((line for line, kind, what, caller in found
+                 if (kind, what, caller) == ("call", "simulate", "_run")), default=float("inf"))
+    return [(line, f"{what} before simulate") for line, kind, what, caller in found
+            if kind == "call" and caller == "_run" and what in writers and line < march]
+
+
 # Each rule: (module, its findings) -> the offending (line, what).
 RULES = {
     "layout": lambda module, found: [
@@ -133,6 +153,7 @@ RULES = {
         (line, what) for line, kind, what, _ in found
         if kind == "name" and what in _SYNTAX and module != "fileio.py"
         or kind == "config line" and module == "cli.py"],
+    "writes": _writes_before_simulate,
 }
 
 # (rule, module, planted source, what the rule finds in it)
@@ -182,6 +203,16 @@ PLANTED = [
     ("syntax", "cli.py", 'print(f"t = {t:g}: residual l_inf = {r:.3e}")', []),
     ("syntax", "cli.py", 'print(f"wrote {path} ({n}x{m}, t = {t:g})")', []),
     ("syntax", "cli.py", 'x = "outdir = o"', []),
+    ("writes", "scenario.py", "def _run(c):\n    os.makedirs(d)\n    t = simulate(f, p)",
+     ["makedirs before simulate"]),
+    ("writes", "scenario.py", "def _run(c):\n    t = simulate(f, p)\n    os.makedirs(d)", []),
+    ("writes", "scenario.py", "def _run(c):\n    write_field_csv(f, b)\n    render_contour(f, b)\n"
+     "    t = simulate(f, p)", ["write_field_csv before simulate", "render_contour before simulate"]),
+    ("writes", "scenario.py", "def _run(c):\n    def emit(f):\n        write_field_csv(f, b)\n"
+     "    emit(f)\n    t = simulate(f, p)\n    emit(f)", ["emit before simulate"]),
+    ("writes", "scenario.py", "def _run(c):\n    os.makedirs(d)", ["makedirs before simulate"]),
+    ("writes", "scenario.py", "def run_builtin(c):\n    os.makedirs(d)\n    _run(c)", []),
+    ("writes", "fileio.py", "def _run(c):\n    os.makedirs(d)\n    simulate(f, p)", []),
 ]
 
 # owner: (the finding it owns, how many its scan holds; None for at least one)
@@ -191,6 +222,8 @@ CONTROLS = {
     "solutions.py": (lambda kind, what, caller: kind == "isinstance" and what in _FAMILIES, None),
     "fileio.py": (lambda kind, what, caller: (kind, what) == ("name", "_section_header"), None),
     "scenario.py": (lambda kind, what, caller: (kind, what) == ("call", "simulate"), 1),
+    "scenario.py:_run": (lambda kind, what, caller: kind == "call" and caller == "_run"
+                         and what in ("simulate", "makedirs"), 2),
 }
 
 
@@ -206,7 +239,8 @@ def test_each_rule_finds_its_planted_breaks(rule, module, source, expected):
 @pytest.mark.parametrize("owner", sorted(CONTROLS))
 def test_the_scan_sees_what_each_owner_owns(owner):
     owns, count = CONTROLS[owner]
-    hits = [line for line, kind, what, caller in _SCANS[owner] if owns(kind, what, caller)]
+    hits = [line for line, kind, what, caller in _SCANS[owner.partition(":")[0]]
+            if owns(kind, what, caller)]
     assert len(hits) == count if count is not None else hits
 
 
