@@ -47,12 +47,17 @@ One kernel forms every dealiased product ``u(a)·∇b`` at the nodes:
 ``u·∂x b + v·∂y b``, or adds those two products, in that order, into a given
 array.  The solver's term is ``a = b = θ`` (:func:`_nonlinear_hat`); the
 residual keeps one velocity per pattern and advects every pattern with it.
-With the 2/3 rule on, spectra are cut to the ``n_x//3 + 1`` columns it keeps,
-and ``irfft2`` pads the rest with zeros, bit for bit as if they had been
-stored.  Every spectrum and node product lives in a :class:`_Workspace`,
-which a solver run builds once.  Only the node arrays ``irfft2`` returns are
-new, because numpy's ``irfft2`` does not pass its ``out`` argument on; each is
-used and dropped before the next transform, so at most one is alive at a time.
+With the 2/3 rule on, spectra are cut to the ``n_x//3 + 1`` columns it keeps.
+Each 2-D transform of the kernel is two explicit 1-D passes through the
+workspace's half spectrum, whose columns past the cut are kept zero
+(:func:`_to_nodes`, :func:`_to_cut_spectrum`): the y-passes run over the kept
+columns only, and the x-passes write straight into the workspace's node or
+spectrum arrays.  Each pass gets the input and scaling it gets inside
+``irfft2``/``rfft2``, so the bits are theirs.  Every spectrum, node array
+and multiplier (expanded to the cut's shape, the 2/3 mask as complex 1 and
+0) lives in a :class:`_Workspace`, which a solver run builds once, so a
+kernel call makes no array; only numpy's ufunc buffer for a strided operand
+is allocated and freed inside a call.
 """
 
 from __future__ import annotations
@@ -358,27 +363,28 @@ def inverse_transform(s: SpectralField) -> PhysicalField:
 
 
 def _to_values(coef: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Internal unchecked inverse transform of a half spectrum to a bare real array.
+    """Internal unchecked inverse transform of a half spectrum to a new real array.
 
-    ``coef`` may hold only leading columns of the half spectrum; ``irfft2``
-    takes the missing ones as 0.  The result is always a new array: numpy's
-    ``irfft2`` does not pass its ``out`` argument on.
+    For one-off inversions: a record, the blowup guard, the CFL check, a
+    residual term.  ``coef`` may hold only leading columns of the half
+    spectrum (``irfft2`` takes the missing ones as 0), but numpy's ``irfft``
+    is slow on such a short input and ``irfft2`` drops its ``out``, so the
+    advection kernel inverts with :func:`_to_nodes` instead.
     """
     return np.fft.irfft2(coef, s=grid.shape, norm="forward")
 
 
-def _to_coefficients(values: np.ndarray, grid: GridSpec,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Internal forward transform of real values to their half spectrum, into ``out`` if given.
+def _to_coefficients(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Internal forward transform of real values to a new half spectrum.
 
-    Without ``out`` the result goes into a new half spectrum, which is passed
-    on as ``out``: given none, numpy's ``rfft2`` runs its axis-0 pass out of
-    place, into one more new array.  The bits are the same; at 256² the
-    traced peak halves (1.0 to 0.5 MiB) and the median time goes from 0.66
-    to 0.58 ms (2 vCPUs, numpy 2.4.6).
+    The new half spectrum is passed to ``rfft2`` as ``out``: given none,
+    numpy's ``rfft2`` runs its axis-0 pass out of place, into one more new
+    array.  The bits are the same; at 256² the traced peak halves (1.0 to
+    0.5 MiB) and the median time goes from 0.66 to 0.58 ms (2 vCPUs, numpy
+    2.4.6).  The advection kernel transforms into its workspace with
+    :func:`_to_cut_spectrum` instead.
     """
-    if out is None:
-        out = np.empty((grid.n_y, grid.n_x // 2 + 1), dtype=complex)
+    out = np.empty((grid.n_y, grid.n_x // 2 + 1), dtype=complex)
     return np.fft.rfft2(values, s=grid.shape, norm="forward", out=out)
 
 
@@ -420,12 +426,18 @@ def _mirror_sum(density: np.ndarray, grid: GridSpec | None = None, where=None) -
                  + np.sum(density[:, 1:-1], where=where(-table.kx[:, 1:-1], mirror_ky)))
 
 
-def _dealiased(coef: np.ndarray, grid: GridSpec, out: np.ndarray) -> np.ndarray:
+def _dealiased(coef: np.ndarray, grid: GridSpec, out: np.ndarray,
+               mask: np.ndarray | None = None) -> np.ndarray:
     """The 2/3 rule's cut of a half spectrum: its leading ``n_x//3 + 1``
-    columns times the mask, written into ``out``."""
+    columns times the mask, written into ``out``.
+
+    ``mask`` is a workspace's complex copy of the mask; without it the
+    grid's boolean mask is read, and the multiply casts it to complex.
+    """
     width = _advection_width(grid, True)
-    return np.multiply(coef[:, :width], _multipliers(grid.n_x, grid.n_y, width).dealias,
-                       out=out)
+    if mask is None:
+        mask = _multipliers(grid.n_x, grid.n_y, width).dealias
+    return np.multiply(coef[:, :width], mask, out=out)
 
 
 # --------------------------------------------------------------------------
@@ -514,14 +526,18 @@ def velocity_from_theta(s: SpectralField) -> tuple[SpectralField, SpectralField]
             SpectralField(grid, _full_spectrum(v, grid)))
 
 
-def _velocity_hats(coef: np.ndarray, grid: GridSpec, out: tuple | None = None):
+def _velocity_hats(coef: np.ndarray, grid: GridSpec, out: tuple | None = None,
+                   table: _Multipliers | _Workspace | None = None):
     """Coefficients of ``(u, v)`` for the given θ coefficients, in either layout.
 
     ``out``, if given, is ``(ψ̂, û, v̂)``: C-contiguous arrays shaped like
     ``coef`` that receive the stream function and the velocity, so the call
-    allocates nothing.
+    allocates nothing.  ``table`` holds ``inv_k``, ``ikx`` and ``iky`` for
+    ``coef``'s columns (a :class:`_Workspace` has them expanded to its
+    shape); without it the grid's cached table is read.
     """
-    table = _multipliers(grid.n_x, grid.n_y, coef.shape[-1])
+    if table is None:
+        table = _multipliers(grid.n_x, grid.n_y, coef.shape[-1])
     psi, u, v = (None, None, None) if out is None else out
     psi = np.multiply(table.inv_k, coef, out=psi)
     _truncate_mantissa(psi, _split_bits(grid), scratch=u)
@@ -541,12 +557,14 @@ def _advection_width(grid: GridSpec, dealias: bool) -> int:
 
 
 class _Workspace(NamedTuple):
-    """Work arrays of the advection kernel on one grid.
+    """Work arrays and multipliers of the advection kernel on one grid.
 
-    Spectra have the ``_advection_width`` leading columns; node arrays the
-    grid's shape.  ``spectrum`` is the product's whole half spectrum, as
-    ``rfft2`` writes it; it is None when the width is the whole half spectrum,
-    because the product is then transformed straight into the result.
+    Spectra and multipliers have the ``_advection_width`` leading columns;
+    node arrays the grid's shape.  ``half`` is a whole half spectrum that
+    both 1-D passes of a transform go through; its columns past the width
+    are 0 between kernel calls.  The multipliers are the grid's table
+    expanded to the cut's shape as complex arrays, so no multiply broadcasts
+    a row or casts to complex; ``mask``, the 2/3 rule's, is None without it.
     """
 
     theta: np.ndarray      # θ̂ with the 2/3 rule applied
@@ -555,25 +573,70 @@ class _Workspace(NamedTuple):
     v: np.ndarray          # v̂
     u_nodes: np.ndarray    # node values of u(a) and v(a)
     v_nodes: np.ndarray
-    product: np.ndarray    # node values of u·∂x b, then u·∇b
-    spectrum: np.ndarray | None
+    nodes: np.ndarray      # node values of ∂y b, and of ∂x b when adding into an array
+    product: np.ndarray    # node values of ∂x b, then u·∂x b, then u·∇b
+    half: np.ndarray       # the passes' half spectrum
+    ikx: np.ndarray        # i·kx, i·ky, |k|^-1 and the 2/3 mask, read-only
+    iky: np.ndarray
+    inv_k: np.ndarray
+    mask: np.ndarray | None
 
 
 def _workspace(grid: GridSpec, dealias: bool) -> _Workspace:
     """New work arrays for the advection kernel on ``grid``; one caller uses them."""
     width = _advection_width(grid, dealias)
-    spectra = [np.empty((grid.n_y, width), dtype=complex) for _ in range(4)]
-    nodes = [np.empty(grid.shape) for _ in range(3)]
-    half = grid.n_x // 2 + 1
-    spectrum = np.empty((grid.n_y, half), dtype=complex) if width < half else None
-    return _Workspace(*spectra, *nodes, spectrum)
+    shape = (grid.n_y, width)
+    spectra = [np.empty(shape, dtype=complex) for _ in range(4)]
+    nodes = [np.empty(grid.shape) for _ in range(4)]
+    half = np.zeros((grid.n_y, grid.n_x // 2 + 1), dtype=complex)
+    table = _multipliers(grid.n_x, grid.n_y, width)
+
+    def expanded(multiplier):
+        full = np.empty(shape, dtype=complex)
+        full[...] = multiplier
+        full.setflags(write=False)
+        return full
+
+    mask = expanded(table.dealias) if dealias else None
+    return _Workspace(*spectra, *nodes, half, expanded(table.ikx), expanded(table.iky),
+                      expanded(table.inv_k), mask)
+
+
+def _to_nodes(cut: np.ndarray, grid: GridSpec, ws: _Workspace, out: np.ndarray) -> np.ndarray:
+    """Node values of the cut half spectrum ``cut``, written into ``out``.
+
+    The y-pass runs over the kept columns, into ``ws.half``, whose other
+    columns are 0; the x-pass inverts that whole half spectrum into ``out``.
+    ``irfft2`` makes the same two passes, with the short input padded by
+    ``irfft``, so the bits are the same.
+    """
+    width = cut.shape[-1]
+    np.fft.ifft(cut, axis=0, norm="forward", out=ws.half[:, :width])
+    return np.fft.irfft(ws.half, n=grid.n_x, axis=1, norm="forward", out=out)
+
+
+def _to_cut_spectrum(values: np.ndarray, ws: _Workspace, out: np.ndarray) -> np.ndarray:
+    """The leading ``out.shape[-1]`` columns of the half spectrum of ``values``,
+    times ``ws.mask`` if the workspace has one, written into ``out``.
+
+    The x-pass writes the whole half spectrum into ``ws.half``; the y-pass
+    runs over the kept columns only, then the others are reset to 0.  These
+    are ``rfft2``'s passes, so the kept columns carry its bits.
+    """
+    width = out.shape[-1]
+    np.fft.rfft(values, axis=1, norm="forward", out=ws.half)
+    np.fft.fft(ws.half[:, :width], axis=0, norm="forward", out=out)
+    ws.half[:, width:] = 0.0
+    if ws.mask is not None:
+        np.multiply(out, ws.mask, out=out)
+    return out
 
 
 def _velocity_nodes(a: np.ndarray, grid: GridSpec, ws: _Workspace) -> None:
     """Write the node values of ``u(a)`` and ``v(a)`` into ``ws`` for a cut spectrum ``a``."""
-    u_hat, v_hat = _velocity_hats(a, grid, out=(ws.psi, ws.u, ws.v))
-    np.copyto(ws.u_nodes, _to_values(u_hat, grid))
-    np.copyto(ws.v_nodes, _to_values(v_hat, grid))
+    u_hat, v_hat = _velocity_hats(a, grid, out=(ws.psi, ws.u, ws.v), table=ws)
+    _to_nodes(u_hat, grid, ws, ws.u_nodes)
+    _to_nodes(v_hat, grid, ws, ws.v_nodes)
 
 
 def _advect(b: np.ndarray, grid: GridSpec, ws: _Workspace,
@@ -584,14 +647,13 @@ def _advect(b: np.ndarray, grid: GridSpec, ws: _Workspace,
     is written into ``ws.product``; with it, ``u·∂x b`` and then ``v·∂y b``
     are added into ``acc`` in place.  Either way the array is returned.
     """
-    table = _multipliers(grid.n_x, grid.n_y, b.shape[-1])
-    nodes = _to_values(np.multiply(b, table.ikx, out=ws.psi), grid)
+    nodes = _to_nodes(np.multiply(b, ws.ikx, out=ws.psi), grid, ws,
+                      ws.product if acc is None else ws.nodes)
     if acc is None:
-        acc = np.multiply(ws.u_nodes, nodes, out=ws.product)
+        acc = np.multiply(ws.u_nodes, nodes, out=nodes)
     else:
         acc += np.multiply(ws.u_nodes, nodes, out=nodes)
-    del nodes   # dropped before the next transform makes its own
-    nodes = _to_values(np.multiply(b, table.iky, out=ws.psi), grid)
+    nodes = _to_nodes(np.multiply(b, ws.iky, out=ws.psi), grid, ws, ws.nodes)
     acc += np.multiply(ws.v_nodes, nodes, out=nodes)
     return acc
 
@@ -606,19 +668,16 @@ def _nonlinear_hat(coef: np.ndarray, grid: GridSpec, dealias: bool,
     result can be nonzero.  Without ``out`` the result is a new half spectrum;
     with it, the kept columns are written into the leading columns of
     ``out``.  Every intermediate lives in ``work`` (a new :func:`_workspace`
-    without it), so a call given both allocates only inside the transforms.
+    without it), so a call given both makes no array.
     """
     width = _advection_width(grid, dealias)
     ws = _workspace(grid, dealias) if work is None else work
-    theta = _dealiased(coef, grid, ws.theta) if dealias else coef[:, :width]
+    theta = _dealiased(coef, grid, ws.theta, ws.mask) if dealias else coef[:, :width]
     _velocity_nodes(theta, grid, ws)
     adv = _advect(theta, grid, ws)
-    if not dealias:
-        return _to_coefficients(adv, grid, out=out)
-    spectrum = _to_coefficients(adv, grid, out=ws.spectrum)
     if out is None:
-        out = np.zeros_like(spectrum)
-    _dealiased(spectrum, grid, out[:, :width])
+        out = np.zeros((grid.n_y, grid.n_x // 2 + 1), dtype=complex)
+    _to_cut_spectrum(adv, ws, out[:, :width])
     return out
 
 

@@ -35,8 +35,8 @@ from .errors import DegenerateFit, DomainError, InvalidSolution, UnderResolved, 
 from .integrator import SolverParams, Trajectory, simulate
 from .solutions import _HARD_CODES, ValidationReport, validate
 from .spectral import (GridSpec, PhysicalField, _advect, _dealiased,
-                       _frac_laplacian_multiplier, _mirror_sum, _to_coefficients, _to_values,
-                       _velocity_nodes, _workspace)
+                       _frac_laplacian_multiplier, _mirror_sum, _to_coefficients,
+                       _to_cut_spectrum, _to_nodes, _to_values, _velocity_nodes, _workspace)
 
 __all__ = [
     "ResidualReport",
@@ -108,30 +108,34 @@ def _residual_terms(sol, grid: GridSpec) -> tuple[tuple, tuple]:
     entry = _sol._grid_data(sol, grid.n_x, grid.n_y)
     terms = entry.get("residual")
     if terms is None:
-        # Made before everything the build keeps: freed below the kept terms,
-        # its memory is reused by the next build instead of faulted in anew.
-        ws = _workspace(grid, True)
         patterns = entry["patterns"]
         coefs = [_to_coefficients(pattern, grid) for _, pattern in patterns]
         entry["grams"] = _pattern_grams(tuple(rate for rate, _ in patterns), coefs, grid,
                                         _sol._direction(sol))
+        # Made after the pattern spectra and before the terms the build keeps,
+        # so its memory is reused by the next build instead of faulted in
+        # anew.  Made before the spectra, it no longer fit the memory the last
+        # build freed: about 740 minor faults per 256² exact-check op.
+        ws = _workspace(grid, True)
         sums: dict[tuple[int, int], np.ndarray] = {}
         for i, coef_i in enumerate(coefs):
-            _velocity_nodes(_dealiased(coef_i, grid, ws.theta), grid, ws)
+            _velocity_nodes(_dealiased(coef_i, grid, ws.theta, ws.mask), grid, ws)
             for j, coef_j in enumerate(coefs):
-                b = _dealiased(coef_j, grid, ws.theta)
+                b = _dealiased(coef_j, grid, ws.theta, ws.mask)
                 pair = (min(i, j), max(i, j))
                 if pair in sums:
                     _advect(b, grid, ws, acc=sums[pair])
-                else:   # the sum keeps the workspace's product array
+                else:   # each sum keeps the product array it is written into
+                    if sums:
+                        ws = ws._replace(product=np.empty(grid.shape))
                     sums[pair] = _advect(b, grid, ws)
-                    ws = ws._replace(product=np.empty(grid.shape))
         advection = []
-        for i, j in list(sums):
-            _to_coefficients(sums.pop((i, j)), grid, out=ws.spectrum)
-            _dealiased(ws.spectrum, grid, ws.theta)
-            advection.append((patterns[i][0] + patterns[j][0], _to_values(ws.theta, grid)))
-        del ws
+        for (i, j), total in sums.items():
+            # The term overwrites its sum, which the forward transform has read.
+            _to_cut_spectrum(total, ws, ws.theta)
+            advection.append((patterns[i][0] + patterns[j][0],
+                              _to_nodes(ws.theta, grid, ws, total)))
+        del ws, sums
         # Built last, so no advection work array is alive beside them.
         mult = _frac_laplacian_multiplier(grid.n_x, grid.n_y, sol.alpha)
         linear = []

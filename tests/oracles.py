@@ -16,7 +16,8 @@ Three spectral references sit beside them: the advection term on the full
 complex spectrum, the residual assembled afresh at each time, and the
 residual's terms built on the whole half spectrum.  The allocating IFRK4 step
 and advection term that the workspace-based ones replaced are kept too, as
-the bit-identity reference of the solver.
+the bit-identity reference of the solver, and so are the residual's terms
+built with the kernel whose every inverse ``irfft2`` returned a new array.
 
 The plane-wave sum with trigonometry at every point, which the sum from
 1-D trig tables replaced, is kept as the reference of ``_wave_sum``.
@@ -186,6 +187,46 @@ def full_width_residual_terms(sol, grid):
     for (i, j), total in sums.items():
         total_hat = _to_coefficients(total, grid)
         total_hat *= table.dealias
+        advection.append((patterns[i][0] + patterns[j][0], _to_values(total_hat, grid)))
+    dissip = sol.kappa * _frac_laplacian_multiplier(grid.n_x, grid.n_y, sol.alpha)
+    linear = []
+    for (rate, pattern), coef in zip(patterns, coefs):
+        term = _to_values(dissip * coef, grid)
+        term -= rate * pattern
+        linear.append((rate, term))
+    return tuple(linear), tuple(advection)
+
+
+def reference_residual_terms(sol, grid):
+    """``(linear, advection)`` as ``verify._residual_terms`` gives them, built on
+    the 2/3 rule's cut with the advection kernel that each inverse ``irfft2``
+    of a cut spectrum returns as a new node array, and the sum's ``rfft2``.
+
+    Each velocity is inverted once, each ordered pair ``(i, j)`` adds
+    ``u_i·∂x P_j`` and then ``v_i·∂y P_j`` into the sum of its unordered pair,
+    and the first such pair writes ``u_i·∂x P_j + v_i·∂y P_j``.  No cache and
+    no huge-κ branch.
+    """
+    patterns = solutions._grid_patterns(sol, grid.n_x, grid.n_y)
+    coefs = [_to_coefficients(pattern, grid) for _, pattern in patterns]
+    width = grid.n_x // 3 + 1
+    table = _multipliers(grid.n_x, grid.n_y, width)
+    cuts = [coef[:, :width] * table.dealias for coef in coefs]
+    sums = {}
+    for i, a in enumerate(cuts):
+        u_hat, v_hat = _reference_velocity_hats(a, grid)
+        u, v = _to_values(u_hat, grid), _to_values(v_hat, grid)
+        for j, b in enumerate(cuts):
+            pair = (min(i, j), max(i, j))
+            bx, by = _to_values(b * table.ikx, grid), _to_values(b * table.iky, grid)
+            if pair in sums:
+                sums[pair] += u * bx
+                sums[pair] += v * by
+            else:
+                sums[pair] = u * bx + v * by
+    advection = []
+    for (i, j), total in sums.items():
+        total_hat = _to_coefficients(total, grid)[:, :width] * table.dealias
         advection.append((patterns[i][0] + patterns[j][0], _to_values(total_hat, grid)))
     dissip = sol.kappa * _frac_laplacian_multiplier(grid.n_x, grid.n_y, sol.alpha)
     linear = []

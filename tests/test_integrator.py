@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fft_passes
 from sqgkit.errors import BlowupDetected, DomainError, StabilityWarning
 from sqgkit.integrator import Snapshot, SolverParams, Trajectory, simulate, step
 from sqgkit.solutions import builtin_samples, eval_theta
@@ -241,31 +242,26 @@ class TestBlowupGuard:
         assert outcomes == {True, False}
 
 
-_FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
-              "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
-
-
 class TestTransformBudget:
+    # Every transform is a real 2-D one: an rfft2/irfft2 call, or in the
+    # advection kernel a real x-pass paired with a complex y-pass over at most
+    # n_x//2 + 1 columns (``fft_passes.transforms`` checks the pairs).
     def test_solver_uses_only_real_transforms(self, grid32, monkeypatch):
         # A silent fallback to full complex transforms would still pass every
         # accuracy test; count the calls instead.
-        calls = []
-
-        def counter(name, fn):
-            def counted(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return counted
-
-        for name in _FFT_NAMES:
-            monkeypatch.setattr(np.fft, name, counter(name, getattr(np.fft, name)))
+        calls = fft_passes.install(monkeypatch)
         per_step = []
         original_step = integrator._ifrk4_step
+        width = integrator._advection_width(grid32, True)
 
         def counted_step(*args):
             before = len(calls)
             out = original_step(*args)
-            per_step.append(len(calls) - before)
+            stage_calls = calls[before:]
+            done = fft_passes.transforms(stage_calls, grid32)
+            per_step.append((done.count("inverse"), done.count("forward")))
+            # The kernel's y-passes read only the columns the 2/3 rule keeps.
+            assert all(c.shape[1] <= width for c in stage_calls if c.name in ("fft", "ifft"))
             return out
 
         monkeypatch.setattr(integrator, "_ifrk4_step", counted_step)
@@ -273,27 +269,23 @@ class TestTransformBudget:
         params = SolverParams(kappa=0.001, alpha=0.4, dt=0.002, t_end=0.01,
                               snapshot_times=(0.005,))
         traj = simulate(initial, params)
-        assert set(calls) == {"rfft2", "irfft2"}
-        assert per_step == [20] * 6          # 2 full + 1 short step per segment
+        assert {c.name for c in calls} == {"rfft2", "irfft2", "rfft", "irfft", "fft", "ifft"}
+        assert per_step == [(16, 4)] * 6          # 2 full + 1 short step per segment
         # One forward transform of the datum, then per snapshot one inverse for
         # the record and two for the CFL check; the guard adds none.
-        assert len(calls) == 20 * len(per_step) + 1 + 3 * len(traj.snapshots)
+        done = fft_passes.transforms(calls, grid32)
+        assert done.count("forward") == 4 * len(per_step) + 1
+        assert done.count("inverse") == 16 * len(per_step) + 3 * len(traj.snapshots)
+        assert len(done) == 20 * len(per_step) + 1 + 3 * len(traj.snapshots)
 
     def test_public_step_uses_only_the_stage_transforms(self, grid32, monkeypatch):
         # The guard's floor max|c0| <= sup|theta0| spares the inverse transform
         # of the input, so a public step costs what a step inside simulate does.
-        calls = []
-
-        def counter(name, fn):
-            def counted(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return counted
-
         state = forward_transform(builtin_samples()["con-1"].initial_field(grid32))
         params = SolverParams(kappa=0.001, alpha=0.4, dt=0.002, t_end=0.002)
-        for name in _FFT_NAMES:
-            monkeypatch.setattr(np.fft, name, counter(name, getattr(np.fft, name)))
+        calls = fft_passes.install(monkeypatch)
         step(state, params)
-        assert set(calls) == {"rfft2", "irfft2"}
-        assert len(calls) == 20
+        assert {c.name for c in calls} == {"rfft", "irfft", "fft", "ifft"}
+        done = fft_passes.transforms(calls, grid32)
+        assert (done.count("inverse"), done.count("forward")) == (16, 4)
+        assert len(calls) == 40

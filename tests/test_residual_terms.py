@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import fft_passes
 from sqgkit import solutions, verify
 from sqgkit.solutions import EigenmodeSolution, UnidirectionalSolution, builtin_samples
 from sqgkit.spectral import GridSpec
@@ -117,12 +118,15 @@ class TestAgainstDirectAssembly:
 
 
 class TestTermCache:
-    def test_first_call_for_one_rate_makes_at_most_8_transforms(self, grid64, fft_calls):
+    def test_first_call_for_one_rate_makes_at_most_8_transforms(self, grid64, monkeypatch):
+        # Counted as 2-D real transforms: an rfft2/irfft2 call, or the
+        # advection kernel's pair of 1-D passes (``fft_passes.transforms``).
         sol = builtin_samples()["theta1"].solution(0.01, 0.5)
         solutions._GRID_DATA.clear()
+        calls = fft_passes.install(monkeypatch)
         verify.residual(sol, 0.25, grid64)
-        assert 0 < len(fft_calls) <= 8
-        assert set(fft_calls) == {"rfft2", "irfft2"}
+        assert 0 < len(fft_passes.transforms(calls, grid64)) <= 8
+        assert {c.name for c in calls} == {"rfft2", "irfft2", "rfft", "irfft", "fft", "ifft"}
 
     @pytest.mark.parametrize("name", ["theta1", "theta3", "uni-3-rates"])
     def test_new_time_makes_no_transform(self, name, grid64, fft_calls):

@@ -93,9 +93,10 @@ class TestBitIdentity:
 class TestAllocationBudget:
     @pytest.mark.parametrize("n", [64, 128])
     def test_warm_step_peak_is_at_most_three_half_spectra(self, n):
-        # The result, one node array from irfft2 and its column-cut
-        # intermediate: about 2.4.  Keeping two node arrays alive reads 3.6,
-        # the allocating step 11.0.
+        # The result and numpy's two buffers for the add into its strided
+        # kept columns: about 2.3 (the kernel's transforms make no node
+        # array).  Keeping two node arrays alive read 3.6, the allocating
+        # step 11.0.
         grid = GridSpec(n, n)
         c = _to_coefficients(builtin_samples()["con-2"].initial_field(grid).values, grid)
         half_e, full_e = _factors(grid, 0.005)
