@@ -13,7 +13,10 @@ On a grid θ(t) = Σ_r e^(-r t) P_r (see :mod:`sqgkit.solutions`), so the
 residual is factorised: its linear part is Σ_r e^(-r t) L_r and its bilinear
 advection term Σ_{i<=j} e^(-(r_i + r_j) t) N_ij.  Every ``L_r`` and ``N_ij``
 goes through the spectral operators once per (solution, grid); after the
-first time a residual is two weighted sums and three norms, with no FFT.
+first time a residual is one weighted sum into a buffer and its norms, with
+no FFT.  The ``residual_linf`` rows of a run are one such pass
+(``_residual_linf``): one validation and one sum buffer for all its times,
+and the sup norm alone at each.
 The same factorisation makes the pattern-correlation and off-ray checks of
 θ(t) quadratic forms in the weights e^(-r t) (see :class:`_Grams`).
 
@@ -237,6 +240,12 @@ def residual(sol, t: float, grid: GridSpec, kappa: float | None = None,
              alpha: float | None = None) -> ResidualReport:
     """Assemble the discrete SQG residual of ``sol`` at time ``t``.
 
+    One call validates, sums the weighted residual terms into a new buffer
+    and takes three norms of it.  The scenario's ``residual_linf`` rows come
+    from ``_residual_linf`` instead, which validates once for all its times
+    and takes the sup norm alone; both sum by ``_residual_into``, so each
+    row is bit for bit this ``l_inf``.
+
     Args:
         sol: Solution (or candidate) from :mod:`sqgkit.solutions`.
         t: Evaluation time.
@@ -258,7 +267,37 @@ def residual(sol, t: float, grid: GridSpec, kappa: float | None = None,
         DomainError: If a decay weight ``e^(-rate t)`` overflows (a large
             negative ``t``).
     """
-    sol = _sol.with_parameters(sol, kappa, alpha)
+    sol = _resolved(_sol.with_parameters(sol, kappa, alpha), grid)
+    resid, work = np.empty(grid.shape), np.empty(grid.shape)
+    nonlinear_linf = _residual_into(_residual_terms(sol, grid), t, resid, work, nonlinear=True)
+    l_inf = float(np.max(np.abs(resid, out=work)))
+    with np.errstate(over="ignore"):
+        l2 = float(np.sqrt(np.sum(np.square(resid, out=work)) * grid.cell_area))
+    if math.isinf(l2) and math.isfinite(l_inf):   # the squares overflowed
+        l2 = l_inf * float(np.sqrt(np.sum((resid / l_inf)**2) * grid.cell_area))
+    return ResidualReport(t=float(t), l_inf=l_inf, l2=l2,
+                          nonlinear_linf=nonlinear_linf, grid=grid)
+
+
+def _residual_linf(sol, times, grid: GridSpec) -> list[float]:
+    """``[residual(sol, t, grid).l_inf for t in times]``, bit for bit, in one pass.
+
+    The solution is validated and its grid margin checked once, raising what
+    :func:`residual` raises, and every time is summed into one buffer by the
+    summation of :func:`residual`, which then takes only the sup norm.
+    """
+    sol = _resolved(sol, grid)
+    terms = _residual_terms(sol, grid)
+    resid, work = np.empty(grid.shape), np.empty(grid.shape)
+    linf = []
+    for t in times:
+        _residual_into(terms, t, resid, work)
+        linf.append(float(np.max(np.abs(resid, out=work))))
+    return linf
+
+
+def _resolved(sol, grid: GridSpec):
+    """``sol``, once it validates and ``grid`` resolves it with the margin of :func:`residual`."""
     report = validate(sol)
     hard = [v for v in report.violations if v.code in _HARD_CODES]
     if hard:
@@ -269,30 +308,32 @@ def residual(sol, t: float, grid: GridSpec, kappa: float | None = None,
             f"grid {grid.n_x}x{grid.n_y} resolves modes up to "
             f"({grid.n_x // 4}, {grid.n_y // 4}) with 2x margin; "
             f"solution needs ({mx}, {my})")
+    return sol
 
-    linear, advection = _residual_terms(sol, grid)
-    # The first term is written into the sum, not added to zeros: only the
-    # sign of a zero can differ, which no norm below sees.  A pair's rate
-    # r_i + r_j may overflow to inf, and inf·0 is NaN: at t = 0 every weight
-    # is 1 (``_decay``).
-    resid, work = None, np.empty(grid.shape)
-    for rate, term in advection:
-        if resid is None:
-            resid = np.multiply(_sol._decay(rate, t), term)
-        else:
+
+def _residual_into(terms: tuple, t: float, resid: np.ndarray, work: np.ndarray,
+                   nonlinear: bool = False) -> float | None:
+    """Write the residual at ``t`` of the ``(linear, advection)`` terms into ``resid``.
+
+    The advection terms are summed first; with ``nonlinear`` the sup norm of
+    that partial sum is returned, else None.  ``work`` holds each weighted
+    term before it is added.  The first term is written into ``resid``, not
+    added to zeros: only the sign of a zero can differ, which no norm sees.
+    A pair's rate r_i + r_j may overflow to inf, and inf·0 is NaN: at t = 0
+    every weight is 1 (``_decay``).
+    """
+    linear, advection = terms
+    for k, (rate, term) in enumerate(advection):
+        if k:
             resid += np.multiply(_sol._decay(rate, t), term, out=work)
-    if resid is None:   # no wave at all
-        resid = np.zeros(grid.shape)
-    nonlinear_linf = float(np.max(np.abs(resid, out=work)))
+        else:
+            np.multiply(_sol._decay(rate, t), term, out=resid)
+    if not advection:   # no wave at all
+        resid.fill(0.0)
+    nonlinear_linf = float(np.max(np.abs(resid, out=work))) if nonlinear else None
     for rate, term in linear:
         resid += np.multiply(_sol._decay(rate, t), term, out=work)
-    l_inf = float(np.max(np.abs(resid, out=work)))
-    with np.errstate(over="ignore"):
-        l2 = float(np.sqrt(np.sum(np.square(resid, out=work)) * grid.cell_area))
-    if math.isinf(l2) and math.isfinite(l_inf):   # the squares overflowed
-        l2 = l_inf * float(np.sqrt(np.sum((resid / l_inf)**2) * grid.cell_area))
-    return ResidualReport(t=float(t), l_inf=l_inf, l2=l2,
-                          nonlinear_linf=nonlinear_linf, grid=grid)
+    return nonlinear_linf
 
 
 def decay_rate_fit(traj: Trajectory, expected_eigenvalue: float, kappa: float,

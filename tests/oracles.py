@@ -30,6 +30,8 @@ The module also provides seeded factories for randomized-but-valid solution
 objects, shared between the property tests and the acceptance suite.
 """
 
+import math
+
 import numpy as np
 
 from sqgkit import solutions
@@ -158,6 +160,22 @@ def direct_residual(sol, t, grid, kappa=None, alpha=None):
     return (float(np.max(np.abs(resid))),
             float(np.sqrt(np.sum(resid**2) * grid.cell_area)),
             float(np.max(np.abs(_to_values(nonlin_hat, grid)))))
+
+
+def residual_atol(sol, kappa=None, alpha=None):
+    """The ``atol`` between ``verify.residual`` and :func:`direct_residual`:
+    1e-14, or more for fields whose residual round-off is larger.
+
+    For an exact solution both assemblies leave round-off, and it differs
+    between them: it scales with ``|u|·|∇θ|`` in the advection products and
+    with ``rate·|θ|`` in the linear terms, bounded here by the wave amplitudes.
+    """
+    sol = solutions.with_parameters(sol, kappa, alpha)
+    waves = solutions._waves(sol)
+    amp = sum(abs(a) + abs(b) for _, _, a, b in waves)
+    kmax = max((math.hypot(p, q) for p, q, _, _ in waves), default=0.0)
+    rmax = max((solutions._rate(sol, p, q) for p, q, _, _ in waves), default=0.0)
+    return max(1e-14, 4e-15 * (amp * amp * kmax + rmax * amp))
 
 
 def full_width_residual_terms(sol, grid):

@@ -25,10 +25,14 @@ findings that move a decision away from its owner:
   ``outdir``: no call of ``makedirs``, ``write_field_csv``, ``render_contour``
   or a helper that calls one comes first (``CONTROLS`` sees ``_run`` hold
   both calls).
+- *rows*: ``scenario`` never calls ``verify.residual``: its ``residual_linf``
+  rows come from one ``verify._residual_linf`` pass, which validates once for
+  every time (``CONTROLS`` sees ``_run`` make the one call).
 
 A new rule is one ``RULES`` entry plus its ``PLANTED`` rows; a rule with an
 owner gets a ``CONTROLS`` row too, so a scan blind to its construct fails.  A
-control's owner is a module, or ``module:function`` when it counts one function.
+control's owner is a module, or ``module:function`` when it counts one function,
+with ``:rule`` after it for a second control of that function.
 """
 
 import ast
@@ -154,6 +158,9 @@ RULES = {
         if kind == "name" and what in _SYNTAX and module != "fileio.py"
         or kind == "config line" and module == "cli.py"],
     "writes": _writes_before_simulate,
+    "rows": lambda module, found: [] if module != "scenario.py" else [
+        (line, f"{caller} calls residual") for line, kind, what, caller in found
+        if (kind, what) == ("call", "residual")],
 }
 
 # (rule, module, planted source, what the rule finds in it)
@@ -213,6 +220,12 @@ PLANTED = [
     ("writes", "scenario.py", "def _run(c):\n    os.makedirs(d)", ["makedirs before simulate"]),
     ("writes", "scenario.py", "def run_builtin(c):\n    os.makedirs(d)\n    _run(c)", []),
     ("writes", "fileio.py", "def _run(c):\n    os.makedirs(d)\n    simulate(f, p)", []),
+    ("rows", "scenario.py", "rep = verify.residual(sol, t, grid)", ["<module> calls residual"]),
+    ("rows", "scenario.py", "def _run(c):\n    for t in times:\n        r = residual(s, t, g).l_inf",
+     ["_run calls residual"]),
+    ("rows", "scenario.py", "def _run(c):\n    linf = verify._residual_linf(s, times, g)", []),
+    ("rows", "scenario.py", "from .verify import residual\nx = rep.residual + residual_tol", []),
+    ("rows", "cli.py", "rep = residual(sol, t, grid)", []),
 ]
 
 # owner: (the finding it owns, how many its scan holds; None for at least one)
@@ -224,6 +237,7 @@ CONTROLS = {
     "scenario.py": (lambda kind, what, caller: (kind, what) == ("call", "simulate"), 1),
     "scenario.py:_run": (lambda kind, what, caller: kind == "call" and caller == "_run"
                          and what in ("simulate", "makedirs"), 2),
+    "scenario.py:_run:rows": (lambda *finding: finding == ("call", "_residual_linf", "_run"), 1),
 }
 
 

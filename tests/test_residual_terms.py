@@ -17,7 +17,7 @@ from sqgkit import solutions, verify
 from sqgkit.solutions import EigenmodeSolution, UnidirectionalSolution, builtin_samples
 from sqgkit.spectral import GridSpec
 
-from oracles import direct_residual
+from oracles import direct_residual, residual_atol
 
 _FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
               "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
@@ -42,21 +42,6 @@ _CASES = {
 
 def _norms(rep):
     return (rep.l_inf, rep.l2, rep.nonlinear_linf)
-
-
-def _atol(sol, kappa=None, alpha=None):
-    """1e-14, or more for fields whose residual round-off is larger.
-
-    For an exact solution both assemblies leave round-off, and it differs
-    between them: it scales with ``|u|·|∇θ|`` in the advection products and
-    with ``rate·|θ|`` in the linear terms, bounded here by the wave amplitudes.
-    """
-    sol = solutions.with_parameters(sol, kappa, alpha)
-    waves = solutions._waves(sol)
-    amp = sum(abs(a) + abs(b) for _, _, a, b in waves)
-    kmax = max((math.hypot(p, q) for p, q, _, _ in waves), default=0.0)
-    rmax = max((solutions._rate(sol, p, q) for p, q, _, _ in waves), default=0.0)
-    return max(1e-14, 4e-15 * (amp * amp * kmax + rmax * amp))
 
 
 @pytest.fixture
@@ -84,7 +69,7 @@ class TestAgainstDirectAssembly:
         sol = _CASES[name]
         got = _norms(verify.residual(sol, t, grid64, **override))
         assert_allclose(got, direct_residual(sol, t, grid64, **override),
-                        rtol=1e-12, atol=_atol(sol, **override))
+                        rtol=1e-12, atol=residual_atol(sol, **override))
 
     def test_breaking_candidates_stay_order_one(self, grid64):
         for name in ("con-1", "eigen-breaking"):
@@ -114,7 +99,7 @@ class TestAgainstDirectAssembly:
                                                      for k in ks))
         t = data.draw(st.floats(0.0, 20.0))
         assert_allclose(_norms(verify.residual(sol, t, grid)), direct_residual(sol, t, grid),
-                        rtol=1e-12, atol=_atol(sol))
+                        rtol=1e-12, atol=residual_atol(sol))
 
 
 class TestTermCache:
