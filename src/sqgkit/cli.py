@@ -13,7 +13,10 @@ Subcommands::
 flags reach :func:`~sqgkit.fileio.parse_config` as values that win over the
 config file's, and an error in one names the flag.  Exit codes: 0 success,
 1 verification failure, 2 usage/config error (a bad parameter, from every
-subcommand), 3 runtime error (blowup, I/O failure).
+subcommand), 3 runtime error (blowup, I/O failure).  :func:`main` alone turns
+a typed error into exit 2 or 3: every exit-2 message starts ``config error: ``
+and every exit-3 message ``runtime error: ``.  A programming error is a
+traceback, not an exit code.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 from .errors import (ConfigError, DomainError, FormatError, InvalidSolution, SqgError,
@@ -29,7 +33,7 @@ from .fileio import (_TOP_KEYS, _check_levels, _flag, parse_config, parse_grid, 
                      read_field_csv_time, render_contour, write_field_csv)
 from .integrator import parameter_issues
 from .scenario import RESIDUAL_TOL, builtin_scenarios, run_builtin, run_scenario
-from .solutions import _HARD_CODES, builtin_samples, validate
+from .solutions import _HARD_CODES, builtin_samples, eval_theta, validate
 from .spectral import GridSpec
 from .verify import residual
 
@@ -69,32 +73,45 @@ def _require_levels(levels: int) -> None:
         raise ConfigError([("levels", str(exc))]) from exc
 
 
+def _sample(name: str):
+    samples = builtin_samples()
+    if name not in samples:
+        raise ConfigError([("solution", f"unknown solution {name!r}; known: "
+                                        f"{', '.join(samples)}")])
+    return samples[name]
+
+
+def _require_output(flag: str, path: str) -> None:
+    """Reject an output path that is a directory or whose directory does not
+    exist, before either output is written."""
+    if os.path.isdir(path):
+        raise ConfigError([(flag, f"{path!r} is a directory")])
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError([(flag, f"no directory {parent!r} to write {path!r} in")])
+
+
 def _cmd_eval(args) -> int:
     if not args.csv and not args.ppm:
-        print("eval: give at least one of --csv/--ppm", file=sys.stderr)
-        return 2
+        raise ConfigError([("eval", "give at least one of --csv/--ppm")])
+    for flag, path in (("--csv", args.csv), ("--ppm", args.ppm)):
+        if path:
+            _require_output(flag, path)
     _require_levels(args.levels)   # before the CSV is written
     if not math.isfinite(args.time):
         raise ConfigError([("time", f"time must be finite, got {args.time}")])
     issues = parameter_issues(kappa=args.kappa, alpha=args.alpha)
     if issues:   # also for a datum that has no closed form
         raise ConfigError(issues)
-    samples = builtin_samples()
-    if args.solution not in samples:
-        print(f"eval: unknown solution {args.solution!r}; known: "
-              f"{', '.join(samples)}", file=sys.stderr)
-        return 2
-    sample = samples[args.solution]
+    sample = _sample(args.solution)
     grid = _parse_grid(args.grid)
     if sample.exact:
-        from .solutions import eval_theta
         field = eval_theta(sample.solution(args.kappa, args.alpha), args.time, grid)
     elif args.time == 0.0:
         field = sample.initial_field(grid)
     else:
-        print(f"eval: {args.solution} is not an exact solution; only t = 0 "
-              "can be evaluated in closed form (use 'sqg simulate')", file=sys.stderr)
-        return 2
+        raise ConfigError([("time", f"{args.solution} is not an exact solution; only t = 0 "
+                                    "can be evaluated in closed form (use 'sqg simulate')")])
     if args.csv:
         write_field_csv(field, args.csv, t=args.time)
         print(f"wrote {args.csv}")
@@ -113,17 +130,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    samples = builtin_samples()
-    if args.solution not in samples:
-        print(f"verify: unknown solution {args.solution!r}; known: "
-              f"{', '.join(samples)}", file=sys.stderr)
-        return 2
-    sample = samples[args.solution]
-    sol = sample.solution(args.kappa, args.alpha)
+    sol = _sample(args.solution).solution(args.kappa, args.alpha)
     if sol is None:
-        print(f"verify: {args.solution} has no closed-form solution object",
-              file=sys.stderr)
-        return 2
+        raise ConfigError([("solution", f"{args.solution} has no closed-form solution object")])
     report = validate(sol)
     if any(v.code in _HARD_CODES for v in report.violations):
         raise InvalidSolution(report)   # a bad parameter, not a failed check
@@ -236,7 +245,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, DomainError, FormatError, InvalidSolution, UnderResolved,
-            FileNotFoundError, IsADirectoryError, KeyError) as exc:
+            FileNotFoundError, IsADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SqgError, OSError) as exc:

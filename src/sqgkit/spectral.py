@@ -427,17 +427,13 @@ def _mirror_sum(density: np.ndarray, grid: GridSpec | None = None, where=None) -
 
 
 def _dealiased(coef: np.ndarray, grid: GridSpec, out: np.ndarray,
-               mask: np.ndarray | None = None) -> np.ndarray:
+               mask: np.ndarray) -> np.ndarray:
     """The 2/3 rule's cut of a half spectrum: its leading ``n_x//3 + 1``
     columns times the mask, written into ``out``.
 
-    ``mask`` is a workspace's complex copy of the mask; without it the
-    grid's boolean mask is read, and the multiply casts it to complex.
+    ``mask`` is a workspace's complex copy of the mask.
     """
-    width = _advection_width(grid, True)
-    if mask is None:
-        mask = _multipliers(grid.n_x, grid.n_y, width).dealias
-    return np.multiply(coef[:, :width], mask, out=out)
+    return np.multiply(coef[:, :_advection_width(grid, True)], mask, out=out)
 
 
 # --------------------------------------------------------------------------

@@ -175,13 +175,6 @@ class TestNonFiniteHeaderTime:
             with pytest.raises(FormatError, match="bad header: t must be finite"):
                 read(path)
 
-    def test_render_exits_2(self, t, tmp_path, capsys):
-        path = tmp_path / "f.csv"
-        path.write_text(f"# 4,4,{t}\n" + "1,0,-1,0\n" * 4)
-        assert cli.main(["render", "--input", str(path),
-                         "--output", str(tmp_path / "f.ppm")]) == 2
-        assert "t must be finite" in capsys.readouterr().err
-
 
 class TestByteIdentity:
     @pytest.mark.parametrize("shape", [(4, 4), (48, 34), (2000, 6), (8, 2050), (8192, 4)])

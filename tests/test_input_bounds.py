@@ -1,5 +1,6 @@
 """CLI overrides of a file that ends in a section, and the bounds on grid
-extents, contour levels and step counts (tested by rejection only)."""
+extents, contour levels and step counts (tested by rejection only; the
+command lines that exceed them are rows of ``test_exit_codes``)."""
 
 import numpy as np
 import pytest
@@ -65,45 +66,3 @@ class TestRejection:
             render_contour(f, tmp_path / "x.ppm", levels=10**9)
         assert not (tmp_path / "x.ppm").exists()
 
-
-class TestEverySubcommandExits2:
-    _SOLVE = ["--solution", "theta1", "--kappa", "0.1", "--alpha", "0.5"]
-
-    @pytest.mark.parametrize("argv", [
-        ["eval", "--solution", "theta1", "--grid", "16384"],
-        ["eval", "--solution", "theta1", "--grid", "16", "--levels", "1000000000"],
-        ["verify", "--solution", "theta1", "--grid", "16x16384"],
-        ["simulate", *_SOLVE, "--grid", "16384", "--t-end", "0"],
-        ["simulate", *_SOLVE, "--grid", "16", "--t-end", "1", "--dt", "1e-300"],
-        ["simulate", *_SOLVE, "--grid", "16", "--t-end", "0", "--levels", "1000000000"],
-        ["eval", "--solution", "con-2", "--kappa", "-1", "--alpha", "5", "--grid", "16"],
-        ["simulate", *_SOLVE, "--grid", "16", "--t-end", "0.2", "--dt", "0.5"],
-    ])
-    def test_flags(self, argv, tmp_path, capsys):
-        argv = argv + (["--csv", str(tmp_path / "x.csv")] if argv[0] == "eval" else [])
-        argv = argv + (["--outdir", str(tmp_path / "o")] if argv[0] == "simulate" else [])
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "config error:" in err and "Traceback" not in err
-        assert not (tmp_path / "x.csv").exists() and not (tmp_path / "o").exists()
-
-    def test_scenario_config(self, tmp_path, capsys):
-        cfg = tmp_path / "x.cfg"
-        cfg.write_text("solution = theta1\nkappa = 0.1\nalpha = 0.5\ngrid = 16\nt_end = 1\n"
-                       f"dt = 1e-300\noutdir = {tmp_path / 'o'}\n")
-        assert main(["scenario", str(cfg)]) == 2
-        assert "steps" in capsys.readouterr().err
-
-    def test_render_levels(self, tmp_path, capsys):
-        csv = tmp_path / "x.csv"
-        assert main(["eval", "--solution", "theta1", "--grid", "16", "--csv", str(csv)]) == 0
-        assert main(["render", "--input", str(csv), "--output", str(tmp_path / "x.ppm"),
-                     "--levels", "1000000000"]) == 2
-        assert "4096" in capsys.readouterr().err
-
-    def test_render_csv_header_beyond_the_extent(self, tmp_path, capsys):
-        # Four one-value rows: the row count matches the header, the extent does not.
-        csv = tmp_path / "x.csv"
-        csv.write_text("# 16384,4,0\n0\n0\n0\n0\n")
-        assert main(["render", "--input", str(csv), "--output", str(tmp_path / "x.ppm")]) == 2
-        assert "bad header" in capsys.readouterr().err

@@ -28,6 +28,9 @@ findings that move a decision away from its owner:
 - *rows*: ``scenario`` never calls ``verify.residual``: its ``residual_linf``
   rows come from one ``verify._residual_linf`` pass, which validates once for
   every time (``CONTROLS`` sees ``_run`` make the one call).
+- *exits*: only ``cli.main`` turns a rejection into exit 2 or 3, from a typed
+  error, so every such exit prints the same prefix: no other ``cli`` function
+  returns the literal 2 or 3 (``CONTROLS`` counts the two in ``main``).
 
 A new rule is one ``RULES`` entry plus its ``PLANTED`` rows; a rule with an
 owner gets a ``CONTROLS`` row too, so a scan blind to its construct fails.  A
@@ -83,13 +86,14 @@ def _layout(node) -> str | None:
     return None
 
 
-def scan(source: str) -> list[tuple[int, str, str | None, str]]:
+def scan(source: str) -> list[tuple[int, str, str | int | None, str]]:
     """Every finding in ``source`` as ``(line, kind, what, caller)``.
 
     Kinds: ``name`` (a name, attribute or imported name), ``call`` (the callee's
-    name), ``isinstance`` (each class tested), ``layout`` (a layout shape) and
+    name), ``isinstance`` (each class tested), ``layout`` (a layout shape),
     ``config line`` (an f-string that starts one, each replacement field shown
-    as ``{}``).  The caller is the innermost enclosing function, or ``<module>``.
+    as ``{}``) and ``return`` (a constant int returned, as the int).  The
+    caller is the innermost enclosing function, or ``<module>``.
     """
     found = []
 
@@ -105,6 +109,9 @@ def scan(source: str) -> list[tuple[int, str, str | None, str]]:
                 kinds = node.args[1]
                 found.extend((line, "isinstance", _name(kind), caller)
                              for kind in (kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]))
+        if (isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+                and type(node.value.value) is int):
+            found.append((line, "return", node.value.value, caller))
         if shape := _layout(node):
             found.append((line, "layout", shape, caller))
         if isinstance(node, ast.JoinedStr):
@@ -161,6 +168,9 @@ RULES = {
     "rows": lambda module, found: [] if module != "scenario.py" else [
         (line, f"{caller} calls residual") for line, kind, what, caller in found
         if (kind, what) == ("call", "residual")],
+    "exits": lambda module, found: [] if module != "cli.py" else [
+        (line, f"{caller} returns {what}") for line, kind, what, caller in found
+        if kind == "return" and what in (2, 3) and caller != "main"],
 }
 
 # (rule, module, planted source, what the rule finds in it)
@@ -226,6 +236,9 @@ PLANTED = [
     ("rows", "scenario.py", "def _run(c):\n    linf = verify._residual_linf(s, times, g)", []),
     ("rows", "scenario.py", "from .verify import residual\nx = rep.residual + residual_tol", []),
     ("rows", "cli.py", "rep = residual(sol, t, grid)", []),
+    ("exits", "cli.py", "def _cmd_eval(a):\n    return 2", ["_cmd_eval returns 2"]),
+    ("exits", "cli.py", "def main(a):\n    return 3", []),
+    ("exits", "cli.py", "def _cmd_verify(a):\n    return 1", []),
 ]
 
 # owner: (the finding it owns, how many its scan holds; None for at least one)
@@ -238,6 +251,8 @@ CONTROLS = {
     "scenario.py:_run": (lambda kind, what, caller: kind == "call" and caller == "_run"
                          and what in ("simulate", "makedirs"), 2),
     "scenario.py:_run:rows": (lambda *finding: finding == ("call", "_residual_linf", "_run"), 1),
+    "cli.py:main": (lambda kind, what, caller: kind == "return" and caller == "main"
+                    and what in (2, 3), 2),
 }
 
 

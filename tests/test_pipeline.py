@@ -1,5 +1,6 @@
 """One scenario pipeline: figure1 and the solver check through ``run_scenario``,
-one grid parser, one CSV header reader, and exit code 2 for every bad input."""
+one grid parser, one CSV header reader, one rate rule, and flags that reach
+``parse_config`` as pairs."""
 
 import pytest
 
@@ -80,17 +81,6 @@ class TestGridText:
             parse_config("solution = theta1\nkappa = 0.1\nalpha = 0.5\n"
                          "grid = 64x32x16\nt_end = 0\n")
 
-    def test_eval_rejects_three_parts(self, tmp_path, capsys):
-        csv = tmp_path / "f.csv"
-        assert main(["eval", "--solution", "theta1", "--grid", "64x32x16",
-                     "--csv", str(csv)]) == 2
-        assert "grid" in capsys.readouterr().err
-        assert not csv.exists()
-
-    def test_verify_rejects_three_parts(self, capsys):
-        assert main(["verify", "--solution", "theta1", "--grid", "64x32x16"]) == 2
-        assert "grid" in capsys.readouterr().err
-
 
 class TestCsvHeader:
     def test_time_reader_shares_the_header_checks(self, tmp_path):
@@ -109,32 +99,11 @@ class TestCsvHeader:
             with pytest.raises(FormatError, match="UTF-8"):
                 read_field_csv_time(path)
 
-    def test_render_of_non_utf8_csv_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "f.csv"
-        path.write_bytes(b"# 4,4,0\n" + b"\xff,0,0,0\n" * 4)
-        assert main(["render", "--input", str(path), "--output", str(tmp_path / "x.ppm")]) == 2
-        assert "config error" in capsys.readouterr().err
 
-
-class TestBadParametersExit2:
+class TestOverflowingRate:
     def test_non_finite_decay_rate_is_a_violation(self):
         sol = builtin_samples()["theta1"].solution(1e308, 0.9)
         assert [v.code for v in validate(sol).violations] == ["rate"]
-
-    @pytest.mark.filterwarnings("ignore::sqgkit.errors.StabilityWarning")
-    def test_simulate_with_overflowing_rate_exits_2(self, tmp_path, capsys):
-        code = main(["simulate", "--solution", "theta1", "--kappa", "1e308", "--alpha", "0.9",
-                     "--grid", "16", "--dt", "1", "--t-end", "1", "--outdir", str(tmp_path)])
-        assert code == 2
-        assert "decay rate" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flags", [["--alpha", "nan"], ["--kappa", "1e308", "--alpha", "0.9"],
-                                       ["--tol", "nan"], ["--solution", "theta2", "--grid", "8"]])
-    def test_verify(self, flags, capsys):
-        argv = ["verify", "--solution", "theta1", *flags]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert "config error" in captured.err and "Traceback" not in captured.err
 
 
 class TestConfigKeys:

@@ -1,8 +1,7 @@
 """Settings that a run could not honour end in their typed error, not a pass:
-a correlation requirement on a run with no ``correlation_final`` row, and a
-solver-vs-exact comparison across two different equations."""
-
-import os
+a solver-vs-exact comparison across two different equations, and a
+correlation requirement on a run with no ``correlation_final`` row (rows of
+``test_exit_codes``); on a simulated datum the requirement still gates."""
 
 import pytest
 
@@ -15,22 +14,6 @@ from sqgkit.verify import solver_vs_exact
 
 
 class TestCorrelationRequirement:
-    @pytest.mark.parametrize("argv", [
-        ["--solution", "con-1", "--kappa", "0.001", "--alpha", "0.4", "--grid", "16",
-         "--t-end", "0"],
-        ["--solution", "theta1", "--kappa", "0.001", "--alpha", "0.001", "--grid", "16",
-         "--t-end", "1", "--dt", "0.1"],
-        ["--solution", "theta1", "--kappa", "0.001", "--alpha", "0.001", "--grid", "16",
-         "--t-end", "1", "--dt", "0.1", "--mode", "exact"],
-    ])
-    def test_requirement_on_a_run_without_the_row_exits_2(self, argv, tmp_path, capsys):
-        outdir = tmp_path / "out"
-        code = main(["simulate", *argv, "--require-correlation-below", "0.5",
-                     "--outputs", "csv,report", "--outdir", str(outdir)])
-        assert code == 2
-        assert "require_correlation_below" in capsys.readouterr().err
-        assert not outdir.exists() or os.listdir(outdir) == []
-
     def test_requirement_on_a_simulated_datum_still_gates(self, tmp_path):
         code = main(["simulate", "--solution", "con-1", "--kappa", "0.01", "--alpha", "0.4",
                      "--grid", "16", "--t-end", "0.05", "--dt", "0.005",

@@ -173,20 +173,6 @@ class TestCli:
         assert main(["render", "--input", str(csv), "--output", str(ppm_b)]) == 0
         assert ppm_a.read_bytes() == ppm_b.read_bytes()
 
-    def test_eval_requires_an_output(self, capsys):
-        assert main(["eval", "--solution", "theta1"]) == 2
-        assert "--csv/--ppm" in capsys.readouterr().err
-
-    def test_eval_unknown_solution(self, capsys):
-        assert main(["eval", "--solution", "theta9", "--csv", "x.csv"]) == 2
-        assert "unknown solution" in capsys.readouterr().err
-
-    def test_eval_datum_at_positive_time_is_refused(self, tmp_path, capsys):
-        code = main(["eval", "--solution", "con-2", "--time", "1.0",
-                     "--csv", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "simulate" in capsys.readouterr().err
-
     def test_eval_datum_at_time_zero_works(self, tmp_path):
         out = tmp_path / "c2.csv"
         assert main(["eval", "--solution", "con-2", "--csv", str(out)]) == 0
@@ -205,60 +191,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "NOT an exact solution" in out
         assert "2 != 1" in out
-
-    def test_verify_unknown_solution_lists_the_known(self, capsys):
-        assert main(["verify", "--solution", "theta9"]) == 2
-        assert "unknown solution 'theta9'; known: theta1, theta2" in capsys.readouterr().err
-
-    def test_verify_bad_grid_is_a_usage_error(self, capsys):
-        assert main(["verify", "--solution", "theta1", "--grid", "13"]) == 2
-        assert "grid" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("times", ["abc", "0,nan", "inf"])
-    def test_verify_bad_times_is_a_config_error(self, times, capsys):
-        assert main(["verify", "--solution", "theta1", "--times", times]) == 2
-        assert "config error:" in capsys.readouterr().err
-
-    def test_eval_invalid_parameter_is_a_config_error(self, tmp_path, capsys):
-        assert main(["eval", "--solution", "theta1", "--kappa", "-1",
-                     "--csv", str(tmp_path / "x.csv")]) == 2
-        assert "config error:" in capsys.readouterr().err
-
-    def test_render_non_finite_csv_exits_2(self, tmp_path, capsys):
-        csv = tmp_path / "nan.csv"
-        csv.write_text("# 4,4,0\n0,0,0,0\n0,nan,0,0\n0,0,0,0\n0,0,0,0\n")
-        assert main(["render", "--input", str(csv), "--output", str(tmp_path / "x.ppm")]) == 2
-        assert "config error:" in capsys.readouterr().err
-
-    def test_non_finite_snapshots_exit_2(self, tmp_path, capsys):
-        code = main(["simulate", "--solution", "theta1", "--kappa", "0.001",
-                     "--alpha", "0.001", "--grid", "32", "--t-end", "0.5",
-                     "--dt", "0.01", "--snapshots", "nan", "--outputs", "report",
-                     "--outdir", str(tmp_path / "run")])
-        assert code == 2
-        assert "snapshots" in capsys.readouterr().err
-
-    def test_eval_levels_below_two_is_a_config_error(self, tmp_path, capsys):
-        csv = tmp_path / "x.csv"
-        assert main(["eval", "--solution", "theta1", "--grid", "16", "--levels", "1",
-                     "--csv", str(csv), "--ppm", str(tmp_path / "x.ppm")]) == 2
-        assert "config error:" in capsys.readouterr().err
-        assert not csv.exists()
-
-    def test_render_levels_below_two_is_a_config_error(self, tmp_path, capsys):
-        csv = tmp_path / "x.csv"
-        assert main(["eval", "--solution", "theta1", "--grid", "16", "--csv", str(csv)]) == 0
-        capsys.readouterr()
-        assert main(["render", "--input", str(csv), "--output", str(tmp_path / "x.ppm"),
-                     "--levels", "1"]) == 2
-        assert "config error:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
-    def test_eval_non_finite_time_is_a_config_error(self, t, tmp_path, capsys):
-        csv = tmp_path / "x.csv"
-        assert main(["eval", "--solution", "theta1", f"--time={t}", "--csv", str(csv)]) == 2
-        assert "config error:" in capsys.readouterr().err
-        assert not csv.exists()
 
     def test_simulate_from_flags(self, tmp_path):
         outdir = tmp_path / "run"
@@ -294,34 +226,6 @@ class TestCli:
         code = main(["scenario", str(cfg), "--outdir", str(tmp_path / "s-out")])
         assert code == 0
         assert (tmp_path / "s-out" / "report.csv").exists()
-
-    def test_scenario_unknown_target(self, capsys):
-        assert main(["scenario", "no-such-scenario.cfg"]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_bad_config_value_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("solution = theta1\nkappa = -1\nalpha = 0.5\n"
-                       "grid = 32\nt_end = 0\n")
-        assert main(["simulate", "--config", str(cfg)]) == 2
-        assert "kappa" in capsys.readouterr().err
-
-    def test_render_missing_input_exits_2(self, capsys):
-        assert main(["render", "--input", "nope.csv", "--output", "x.ppm"]) == 2
-        assert "error" in capsys.readouterr().err
-
-    @pytest.mark.filterwarnings("ignore::sqgkit.errors.StabilityWarning")
-    def test_blowup_exits_3(self, tmp_path, capsys):
-        outdir = tmp_path / "blow"
-        code = main(["simulate", "--solution", "con-1", "--kappa", "0.001",
-                     "--alpha", "0.4", "--grid", "64", "--t-end", "50",
-                     "--dt", "5", "--outputs", "report", "--outdir", str(outdir)])
-        assert code == 3
-        assert "blew up" in capsys.readouterr().err
-
-    def test_usage_errors_exit_2(self):
-        assert main([]) == 2
-        assert main(["simulate", "--no-such-flag"]) == 2
 
     def test_help_exits_0(self):
         assert main(["--help"]) == 0

@@ -1,21 +1,15 @@
-"""Statements no other test runs: a datum with no closed form given to
-``sqg verify``, an empty entry in ``outputs``, a non-solution given to the
-solution readers, a grid extent that is not an integer, a coefficient array
-of the wrong size, and the off-ray fraction of a zero field."""
+"""Statements no other test runs: an empty entry in ``outputs``, a
+non-solution given to the solution readers, a grid extent that is not an
+integer, a coefficient array of the wrong size, and the off-ray fraction of
+a zero field."""
 
 import numpy as np
 import pytest
 
 from sqgkit import solutions, verify
-from sqgkit.cli import main
 from sqgkit.errors import ZeroField
 from sqgkit.fileio import parse_config
 from sqgkit.spectral import GridSpec, SpectralField
-
-
-def test_verify_of_a_datum_without_a_closed_form_exits_2(capsys):
-    assert main(["verify", "--solution", "con-2"]) == 2
-    assert "no closed-form" in capsys.readouterr().err
 
 
 def test_an_empty_output_kind_is_skipped():

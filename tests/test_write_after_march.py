@@ -1,33 +1,19 @@
 """A scenario writes nothing until its checks and its march are done: the
 closed-form rows, then the one ``simulate`` call, then ``outdir`` and one
-pass over the times.  So a blowup leaves no directory (a grid too coarse for
-the solution is in ``test_config_inputs``), and the write pass holds one
-closed-form θ(t) at a time.  Also: the quadratic checks of solutions with
+pass over the times.  So a blowup or a grid too coarse for the solution
+leaves no directory (rows of ``test_exit_codes``), and the write pass holds
+one closed-form θ(t) at a time.  Also: the quadratic checks of solutions with
 tiny amplitudes see a field, not an underflow."""
 
 import gc
-import warnings
 import weakref
 
 import pytest
 
 from sqgkit import scenario
 from sqgkit.cli import main
-from sqgkit.errors import StabilityWarning
 from sqgkit.fileio import parse_config
 from sqgkit.solutions import eval_theta
-
-
-def test_a_blowup_creates_no_outdir(tmp_path, capsys):
-    out = tmp_path / "b"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", StabilityWarning)   # dt = 2 is meant to blow up
-        assert main(["simulate", "--solution", "con-1", "--kappa", "0.001", "--alpha", "0",
-                     "--grid", "32", "--t-end", "40", "--dt", "2", "--outputs", "csv,report",
-                     "--outdir", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("runtime error: ") and "blew up" in err
-    assert not out.exists()
 
 
 def test_the_write_pass_holds_one_closed_form_at_a_time(tmp_path, monkeypatch):
