@@ -29,21 +29,14 @@ import sys
 
 from .errors import (ConfigError, DomainError, FormatError, InvalidSolution, SqgError,
                      UnderResolved)
-from .fileio import (_TOP_KEYS, _check_levels, _flag, parse_config, parse_grid, read_field_csv,
+from .fileio import (_TOP_KEYS, _flag, _read_grid, _read_levels, parse_config, read_field_csv,
                      read_field_csv_time, render_contour, write_field_csv)
 from .integrator import parameter_issues
 from .scenario import RESIDUAL_TOL, builtin_scenarios, run_builtin, run_scenario
 from .solutions import _HARD_CODES, builtin_samples, eval_theta, validate
-from .spectral import GridSpec
 from .verify import residual
 
 __all__ = ["main"]
-
-
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="config file; flags override its values")
-    for key in _TOP_KEYS:   # values are checked by parse_config, as in a file
-        p.add_argument(_flag(key))
 
 
 def _config_text(path) -> str:
@@ -57,20 +50,6 @@ def _config_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError([(path, f"not UTF-8 text: {exc}")]) from exc
-
-
-def _parse_grid(text: str) -> GridSpec:
-    try:
-        return parse_grid(text)
-    except ValueError as exc:
-        raise ConfigError([("grid", f"bad grid {text!r}: {exc}")]) from exc
-
-
-def _require_levels(levels: int) -> None:
-    try:
-        _check_levels(levels)
-    except ValueError as exc:
-        raise ConfigError([("levels", str(exc))]) from exc
 
 
 def _sample(name: str):
@@ -97,14 +76,14 @@ def _cmd_eval(args) -> int:
     for flag, path in (("--csv", args.csv), ("--ppm", args.ppm)):
         if path:
             _require_output(flag, path)
-    _require_levels(args.levels)   # before the CSV is written
+    levels = _read_levels("levels", args.levels)   # before the CSV is written
     if not math.isfinite(args.time):
         raise ConfigError([("time", f"time must be finite, got {args.time}")])
     issues = parameter_issues(kappa=args.kappa, alpha=args.alpha)
     if issues:   # also for a datum that has no closed form
         raise ConfigError(issues)
     sample = _sample(args.solution)
-    grid = _parse_grid(args.grid)
+    grid = _read_grid("grid", args.grid)
     if sample.exact:
         field = eval_theta(sample.solution(args.kappa, args.alpha), args.time, grid)
     elif args.time == 0.0:
@@ -116,7 +95,7 @@ def _cmd_eval(args) -> int:
         write_field_csv(field, args.csv, t=args.time)
         print(f"wrote {args.csv}")
     if args.ppm:
-        render_contour(field, args.ppm, levels=args.levels)
+        render_contour(field, args.ppm, levels=levels)
         print(f"wrote {args.ppm}")
     return 0
 
@@ -141,7 +120,7 @@ def _cmd_verify(args) -> int:
         for v in report.violations:
             print(f"  - {v.message}")
         return 1
-    grid = _parse_grid(args.grid)
+    grid = _read_grid("grid", args.grid)
     if not math.isfinite(args.tol):   # a NaN tolerance would read as a failure
         raise ConfigError([("tol", f"tol must be finite, got {args.tol}")])
     try:
@@ -163,10 +142,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    _require_levels(args.levels)
+    levels = _read_levels("levels", args.levels)
+    _require_output("--output", args.output)
+    if os.path.exists(args.output) and os.path.samefile(args.input, args.output):
+        raise ConfigError([("--output", f"{args.output!r} would overwrite the input")])
     field = read_field_csv(args.input)
-    render_contour(field, args.output, levels=args.levels)
-    t = read_field_csv_time(args.input)
+    t = read_field_csv_time(args.input)   # before the output is written
+    render_contour(field, args.output, levels=levels)
     print(f"wrote {args.output} ({field.grid.n_x}x{field.grid.n_y}, t = {t:g})")
     return 0
 
@@ -205,11 +187,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="64")
     p.add_argument("--csv", help="output field CSV path")
     p.add_argument("--ppm", help="output contour image path")
-    p.add_argument("--levels", type=int, default=21)
+    p.add_argument("--levels", default="21")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("simulate", help="run the solver (flags and/or --config)")
-    _add_solver_flags(p)
+    p.add_argument("--config", help="config file; flags override its values")
+    for key in _TOP_KEYS:   # values are read by parse_config, as in a file
+        p.add_argument(_flag(key))
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="residual-check a builtin solution")
@@ -224,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render a field CSV to a PPM image")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--levels", type=int, default=21)
+    p.add_argument("--levels", default="21")
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("scenario", help="run a builtin scenario or config file")

@@ -9,9 +9,10 @@ explicit solution instead of referencing a builtin by name.  Later assignments
 to the same key win.  Command-line flags are ``overrides`` of
 :func:`parse_config`: values, not config lines.
 
-Top-level keys::
+Top-level keys, the fields of :class:`ScenarioConfig` in order::
 
-    solution   builtin name (theta1, theta2, theta3, con-1, con-2, con-3)
+    solution   builtin name (theta1, theta2, theta3, con-1, con-2, con-3);
+               required unless a [solution] section is given
     kappa      dissipation coefficient, > 0                       (required)
     alpha      fractional exponent in [0, 1)                      (required)
     grid       resolution: "64" or "64x32", each extent <= 8192    (required)
@@ -69,8 +70,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import MISSING, dataclass, field, fields
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -94,59 +95,164 @@ MAX_LEVELS = 4096   # contour bands; the colour table is built one band at a tim
 _CSV_BLOCK_VALUES = 2048   # values formatted per write, about 200 bytes each meanwhile
 _RENDER_BLOCK_VALUES = 1 << 15   # pixels rendered per write, about 19 bytes each meanwhile
 
-_TOP_KEYS = ("solution", "kappa", "alpha", "dt", "t_end", "grid", "snapshots", "dealias",
-             "outdir", "outputs", "levels", "mode", "name", "require_correlation_below")
 _SOLUTION_KEYS = {"family", "n", "m", "k", "modes",
                   "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8"}
-_REQUIRED = ("solution", "kappa", "alpha", "grid", "t_end")
 _OUTPUT_KINDS = ("csv", "ppm", "report")
 _MODES = ("auto", "exact", "simulate", "both")
+_BOOLS = {"true": True, "on": True, "yes": True, "1": True,
+          "false": False, "off": False, "no": False, "0": False}
+
+
+# A key's reader takes the key and its text and returns the value.  It raises
+# ParseError for text that does not parse and ConstraintViolation for a value
+# outside the key's domain, located at the key; parse_config moves the issues
+# to the line or flag that gave the text.
+
+def _read_number(key: str, text: str, cast=float):
+    try:
+        return cast(text)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise ParseError([(key, f"{key} must be {kind}, got {text!r}")])
+
+
+_read_integer = partial(_read_number, cast=int)
+
+
+def _read_solution(key: str, text: str) -> str:
+    if text not in builtin_samples():
+        raise ConstraintViolation([(key, f"unknown builtin solution {text!r}; known: "
+                                         f"{', '.join(builtin_samples())}")])
+    return text
+
+
+def _read_grid(key: str, text: str) -> GridSpec:
+    try:
+        return parse_grid(text)
+    except ValueError as exc:
+        raise ConstraintViolation([(key, f"bad grid {text!r}: {exc}")]) from exc
+
+
+def _read_times(key: str, text: str) -> tuple:
+    try:
+        return tuple(sorted(float(part) for part in text.split(",") if part.strip()))
+    except ValueError:
+        raise ParseError([(key, f"{key} must be comma-separated numbers, got {text!r}")])
+
+
+def _read_bool(key: str, text: str) -> bool:
+    if text.lower() not in _BOOLS:
+        raise ParseError([(key, f"{key} must be true/false, got {text!r}")])
+    return _BOOLS[text.lower()]
+
+
+def _read_outdir(key: str, text: str) -> str:
+    if not text:   # no directory has an empty name
+        raise ConstraintViolation([(key, "outdir must not be empty")])
+    if "\0" in text:   # no path holds one
+        raise ConstraintViolation([(key, f"outdir must not contain a NUL byte, got {text!r}")])
+    return text
+
+
+def _read_outputs(key: str, text: str) -> tuple:
+    tokens = [token.strip().lower() for token in text.split(",")]
+    kinds = ["ppm" if token == "pgm" else token   # an alias: files are binary PPM (P6)
+             for token in tokens if token]
+    issues = [(key, f"unknown output kind {kind!r}")
+              for kind in kinds if kind not in _OUTPUT_KINDS]
+    if issues:
+        raise ConstraintViolation(issues)
+    return tuple(dict.fromkeys(kinds))   # each kind once, in order
+
+
+def _read_levels(key: str, text: str) -> int:
+    levels = _read_integer(key, text)
+    try:
+        _check_levels(levels)
+    except ValueError as exc:
+        raise ConstraintViolation([(key, str(exc))]) from exc
+    return levels
+
+
+def _read_mode(key: str, text: str) -> str:
+    if text.lower() not in _MODES:
+        raise ConstraintViolation([(key, f"mode must be one of {_MODES}, got {text!r}")])
+    return text.lower()
+
+
+def _read_name(key: str, text: str) -> str:
+    if set(text) & {",", "/", os.sep, os.altsep, "\0"}:   # a report field, a file name in outdir
+        raise ConstraintViolation([(key, f"name must not contain ',', a path "
+                                         f"separator or a NUL byte, got {text!r}")])
+    return text
+
+
+def _read_threshold(key: str, text: str) -> float:
+    value = _read_number(key, text)
+    if not 0.0 < value < math.inf:
+        raise ConstraintViolation([(key, f"{key} must be finite and > 0, got {value}")])
+    return value
+
+
+def _key(read, default=MISSING, key: str | None = None):
+    """A :class:`ScenarioConfig` field for the top-level config ``key`` (its
+    name unless given), read by ``read``; a required key has no ``default``."""
+    return field(default=default, metadata={"read": read, "key": key})
 
 
 @dataclass
 class ScenarioConfig:
-    """A fully validated scenario: what to run, on what grid, what to emit."""
+    """A fully validated scenario: what to run, on what grid, what to emit;
+    each field is a top-level config key, with its reader and default (:func:`_key`)."""
 
-    solution: object                 # builtin name (str) or an explicit solution object
-    kappa: float
-    alpha: float
-    grid: GridSpec
-    t_end: float
-    dt: float | None = None
-    snapshot_times: tuple = ()
-    dealias: bool = True
-    outdir: str = "sqg-out"
-    outputs: tuple = _OUTPUT_KINDS
-    levels: int = 21
-    mode: str = "auto"
-    name: str = ""
-    require_correlation_below: float | None = None
+    solution: object = _key(_read_solution)   # builtin name (str) or an explicit solution object
+    kappa: float = _key(_read_number)
+    alpha: float = _key(_read_number)
+    grid: GridSpec = _key(_read_grid)
+    t_end: float = _key(_read_number)
+    dt: float | None = _key(_read_number, None)
+    snapshot_times: tuple = _key(_read_times, (), key="snapshots")
+    dealias: bool = _key(_read_bool, True)
+    outdir: str = _key(_read_outdir, "sqg-out")
+    outputs: tuple = _key(_read_outputs, _OUTPUT_KINDS)
+    levels: int = _key(_read_levels, 21)
+    mode: str = _key(_read_mode, "auto")
+    name: str = _key(_read_name, "")   # parse_config gives the solution's name
+    require_correlation_below: float | None = _key(_read_threshold, None)
+
+
+_FIELDS = {f.metadata["key"] or f.name: f for f in fields(ScenarioConfig)}   # by key
+_TOP_KEYS = tuple(_FIELDS)
 
 
 def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0]
 
 
-def _section_header(raw: str) -> str | None:
-    """The lower-cased name of a ``[section]`` header line, or None for any other line."""
-    line = _strip_comment(raw).strip()
+def _section_header(line: str) -> str | None:
+    """The lower-cased name of a ``[section]`` header, given a line without its
+    comment and outer blanks; None for any other line."""
     if line.startswith("[") and line.endswith("]"):
         return line[1:-1].strip().lower()
-    return None
-
-
-def _parse_bool(raw: str):
-    lowered = raw.strip().lower()
-    if lowered in ("true", "on", "yes", "1"):
-        return True
-    if lowered in ("false", "off", "no", "0"):
-        return False
     return None
 
 
 def _flag(key: str) -> str:
     """The command-line flag that overrides the top-level ``key``."""
     return "--" + key.replace("_", "-")
+
+
+def _read(read, key: str, entry: tuple, syntax: list, semantic: list):
+    """``read(key, text)`` of an ``entry`` ``(location, text)``; None if it raises,
+    and its issues go at that location to ``syntax`` (ParseError) or ``semantic``."""
+    location, text = entry
+    try:
+        return read(key, text)
+    except ParseError as exc:
+        syntax.extend((location, message) for _, message in exc.issues)
+    except ConstraintViolation as exc:
+        semantic.extend((location, message) for _, message in exc.issues)
+    return None
 
 
 def parse_config(text: str, overrides=()) -> ScenarioConfig:
@@ -156,8 +262,10 @@ def parse_config(text: str, overrides=()) -> ScenarioConfig:
     the file's entries, so they win.  A value is stripped as a file value is
     and may hold a ``#``; a line break in it is an error.
 
-    All problems found in one pass are reported together, each tagged with its
-    line number, or for an override with its flag (:func:`_flag`).
+    Each key given is read by its :class:`ScenarioConfig` field's reader; a
+    key not given takes the field's default.  All problems are reported
+    together, each tagged with its line number, or for an override with its
+    flag (:func:`_flag`).
 
     Raises:
         ParseError: Malformed lines or missing required keys.
@@ -176,7 +284,7 @@ def parse_config(text: str, overrides=()) -> ScenarioConfig:
         line = _strip_comment(raw).strip()
         if not line:
             continue
-        header = _section_header(raw)
+        header = _section_header(line)
         if header is not None:
             section = header
             if section != "solution":
@@ -208,111 +316,34 @@ def parse_config(text: str, overrides=()) -> ScenarioConfig:
         else:
             top[key] = (flag, value.strip())
 
-    for key in _REQUIRED:
-        if key not in top and not (key == "solution" and sol_section):
+    values = {}   # field name: value, None where the reader raised
+    for key, spec in _FIELDS.items():
+        if key == "solution" and sol_section:
+            continue   # the [solution] rule below
+        if key in top:
+            values[spec.name] = _read(spec.metadata["read"], key, top[key], syntax, semantic)
+        elif spec.default is MISSING:
             syntax.append(("config", f"missing required key: {key}"))
 
-    kappa = _take(top, "kappa", float, None, syntax)
-    alpha = _take(top, "alpha", float, None, syntax)
-    t_end = _take(top, "t_end", float, None, syntax)
-    dt = _take(top, "dt", float, None, syntax)
+    kappa, alpha, t_end = values.get("kappa"), values.get("alpha"), values.get("t_end")
     if "dt" not in top and t_end is not None and t_end > 0.0:
         syntax.append(("config", "missing required key: dt (t_end > 0)"))
-
-    grid = None
-    if "grid" in top:
-        lineno, raw = top["grid"]
-        try:
-            grid = parse_grid(raw)
-        except ValueError as exc:
-            semantic.append((lineno, f"bad grid {raw!r}: {exc}"))
-
-    snapshot_times: tuple = ()
-    if "snapshots" in top:
-        lineno, raw = top["snapshots"]
-        try:
-            snapshot_times = tuple(sorted(float(p) for p in raw.split(",") if p.strip()))
-        except ValueError:
-            syntax.append((lineno, f"snapshots must be comma-separated numbers, got {raw!r}"))
-
-    issues = parameter_issues(kappa, alpha, dt, t_end, snapshot_times)
+    issues = parameter_issues(kappa, alpha, values.get("dt"), t_end,
+                              values.get("snapshot_times") or ())
     semantic += [(top[key][0], message) for key, message in issues]
     if {"kappa", "alpha"} & {key for key, _ in issues}:
         kappa = None   # reported here, so the [solution] section is not validated
-
-    dealias = True
-    if "dealias" in top:
-        lineno, raw = top["dealias"]
-        parsed = _parse_bool(raw)
-        if parsed is None:
-            syntax.append((lineno, f"dealias must be true/false, got {raw!r}"))
-        else:
-            dealias = parsed
-
-    levels = _take(top, "levels", int, 21, syntax)
-    try:
-        _check_levels(levels)
-    except ValueError as exc:
-        semantic.append((top["levels"][0], str(exc)))
-
-    outputs: tuple = _OUTPUT_KINDS
-    if "outputs" in top:
-        lineno, raw = top["outputs"]
-        kinds = []
-        for token in raw.split(","):
-            token = token.strip().lower()
-            if not token:
-                continue
-            if token == "pgm":   # accepted alias; files are binary PPM (P6)
-                token = "ppm"
-            if token not in _OUTPUT_KINDS:
-                semantic.append((lineno, f"unknown output kind {token!r}"))
-            elif token not in kinds:
-                kinds.append(token)
-        outputs = tuple(kinds)
-
-    mode = "auto"
-    if "mode" in top:
-        lineno, raw = top["mode"]
-        if raw.lower() not in _MODES:
-            semantic.append((lineno, f"mode must be one of {_MODES}, got {raw!r}"))
-        else:
-            mode = raw.lower()
-
-    corr_below = _take(top, "require_correlation_below", float, None, syntax)
-    if corr_below is not None and not 0.0 < corr_below < np.inf:
-        semantic.append((top["require_correlation_below"][0],
-                         f"require_correlation_below must be finite and > 0, got {corr_below}"))
-
-    solution: object = None
-    name = top.get("name", (0, ""))[1]
-    if set(name) & {",", "/", os.sep, os.altsep, "\0"}:   # a report field, a file name in outdir
-        semantic.append((top["name"][0], f"name must not contain ',', a path "
-                                         f"separator or a NUL byte, got {name!r}"))
-    outdir = top.get("outdir", (0, "sqg-out"))[1]
-    if not outdir:   # no directory has an empty name
-        semantic.append((top["outdir"][0], "outdir must not be empty"))
-    elif "\0" in outdir:   # no path holds one
-        semantic.append((top["outdir"][0], f"outdir must not contain a NUL byte, got {outdir!r}"))
-    if "solution" in top and sol_section:
+    if sol_section and "solution" in top:
         lineno = sol_section[next(iter(sol_section))][0]
         semantic.append((lineno, "give either 'solution = <name>' or a [solution] "
                                  "section, not both"))
-    elif "solution" in top:
-        lineno, raw = top["solution"]
-        if raw not in builtin_samples():
-            semantic.append((lineno, f"unknown builtin solution {raw!r}; known: "
-                                     f"{', '.join(builtin_samples())}"))
-        else:
-            solution = raw
-            name = name or raw
     elif sol_section:
-        solution = _parse_solution_section(sol_section, kappa, alpha, syntax, semantic)
-        name = name or "custom"
+        values["solution"] = _parse_solution_section(sol_section, kappa, alpha, syntax, semantic)
+    if not values.get("name"):
+        values["name"] = "custom" if sol_section else values.get("solution", "")
 
-    def by_line(issue):
-        loc = issue[0]
-        return (0, loc) if isinstance(loc, int) else (1, 0)
+    def by_line(issue):   # line numbers in order, then flags and "config" as found
+        return (0, issue[0]) if isinstance(issue[0], int) else (1, 0)
 
     if syntax:
         raise ParseError(sorted(syntax + unknown + semantic, key=by_line))
@@ -320,12 +351,7 @@ def parse_config(text: str, overrides=()) -> ScenarioConfig:
         raise UnknownKey(sorted(unknown + semantic, key=by_line))
     if semantic:
         raise ConstraintViolation(sorted(semantic, key=by_line))
-
-    return ScenarioConfig(
-        solution=solution, kappa=kappa, alpha=alpha, grid=grid, t_end=t_end, dt=dt,
-        snapshot_times=snapshot_times, dealias=dealias,
-        outdir=outdir, outputs=outputs, levels=levels,
-        mode=mode, name=name, require_correlation_below=corr_below)
+    return ScenarioConfig(**values)
 
 
 def parse_grid(text: str) -> GridSpec:
@@ -343,40 +369,29 @@ def parse_grid(text: str) -> GridSpec:
     return GridSpec(*dims)
 
 
-def _take(entries: dict, key: str, cast, default, syntax: list):
-    """``cast`` of the value of ``key`` in ``entries``; ``default`` if it is
-    absent or does not parse, which is reported in ``syntax``."""
-    if key not in entries:
-        return default
-    lineno, raw = entries[key]
-    try:
-        return cast(raw)
-    except ValueError:
-        kind = "an integer" if cast is int else "a number"
-        syntax.append((lineno, f"{key} must be {kind}, got {raw!r}"))
-        return default
-
-
 def _parse_solution_section(section, kappa, alpha, syntax, semantic):
     if kappa is None or alpha is None:
         return None   # already reported as missing/invalid at the top level
+
+    def take(key, read, default):
+        value = _read(read, key, section[key], syntax, semantic) if key in section else None
+        return default if value is None else value
+
     lineno = section[next(iter(section))][0]
     family = section.get("family", (lineno, ""))[1].lower()
-    n, m = (_take(section, key, int, 0, syntax) for key in ("n", "m"))
+    n, m = (take(key, _read_integer, 0) for key in ("n", "m"))
     if family == "eigenmode":
         sol = EigenmodeSolution(
-            n=n, m=m, k=_take(section, "k", int, 0, syntax), kappa=kappa, alpha=alpha,
-            **{f"c{i}": _take(section, f"c{i}", float, 0.0, syntax) for i in range(1, 9)})
+            n=n, m=m, k=take("k", _read_integer, 0), kappa=kappa, alpha=alpha,
+            **{f"c{i}": take(f"c{i}", _read_number, 0.0) for i in range(1, 9)})
     elif family == "unidirectional":
         modes = []
         if "modes" in section:
             ln, raw = section["modes"]
             for triple in raw.split(","):
-                parts = triple.split(":")
                 try:
-                    if len(parts) != 3:
-                        raise ValueError
-                    modes.append((int(parts[0]), float(parts[1]), float(parts[2])))
+                    k, a, b = triple.split(":")   # a ValueError unless three parts
+                    modes.append((int(k), float(a), float(b)))
                 except ValueError:
                     syntax.append((ln, f"modes entries must be k:a:b, got {triple.strip()!r}"))
         sol = UnidirectionalSolution(n=n, m=m, kappa=kappa, alpha=alpha, modes=tuple(modes))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from . import verify
 from .errors import ConfigError, ConstraintViolation
-from .fileio import ScenarioConfig, render_contour, write_field_csv
+from .fileio import ScenarioConfig, _read_outdir, render_contour, write_field_csv
 from .integrator import SolverParams, simulate
 from .solutions import _waves, builtin_samples, eval_theta, validate
 from .spectral import GridSpec
@@ -115,6 +115,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             kind (``exact`` on a non-exact datum), or if
             ``require_correlation_below`` is set on a run that makes no
             ``correlation_final`` row (an exact solution, or t_end = 0).
+        ConfigError: ``outdir`` is a file or lies under one.
         BlowupDetected: Propagated from the solver.
     """
     checks, artifacts = _run(config)
@@ -136,6 +137,17 @@ def _finish(outdir: str, checks: list, artifacts: list, report: bool) -> Scenari
     return ScenarioResult(exit_code=1 if failed else 0, checks=tuple(checks),
                           artifacts=tuple(artifacts), outdir=outdir,
                           report_path=report_path)
+
+
+def _require_outdir(outdir: str) -> None:
+    """Reject an ``outdir`` that is not a directory or lies under a file: the
+    nearest of it and its parents that exists must be a directory."""
+    path = outdir
+    while path and not os.path.exists(path):   # False under a file too
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        where = "" if path == outdir else f" lies under {path!r}, which"
+        raise ConfigError([("outdir", f"{outdir!r}{where} is not a directory")])
 
 
 def _run(config: ScenarioConfig) -> tuple[list, list]:
@@ -161,6 +173,7 @@ def _run(config: ScenarioConfig) -> tuple[list, list]:
             "require_correlation_below needs a non-exact datum simulated to t_end > 0; "
             f"{config.name or 'this run'} is {'exact' if exact else 'not simulated'}")
 
+    _require_outdir(config.outdir)
     name = config.name or "field"
     times = sorted({0.0, float(config.t_end), *config.snapshot_times})
     params = None
@@ -264,10 +277,11 @@ def run_builtin(scenario: str, outdir: str | None = None) -> ScenarioResult:
 
     Raises:
         KeyError: Unknown scenario name.
-        ConfigError: ``outdir`` is empty (None means the scenario's default).
+        ConfigError: ``outdir`` is not a valid config value (None means the
+            scenario's default), is a file or lies under one.
     """
-    if outdir == "":   # as in a config file: no directory has an empty name
-        raise ConfigError([("outdir", "outdir must not be empty")])
+    if outdir is not None:   # read as a config file's: "" is an error, not the default
+        _read_outdir("outdir", outdir)
     if scenario == "figure1":
         outdir = outdir or "figure1-out"
         checks, artifacts = [], []

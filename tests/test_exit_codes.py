@@ -5,8 +5,9 @@ flag, config value or input file), 2 with argparse's ``usage: `` (a command
 line argparse cannot parse), or 3 with ``runtime error: `` (a blowup), as
 ``CONTRACT`` says.  In every case stderr holds no traceback and the row's
 fragment, nothing is created (the runner works in an empty directory that
-holds only the row's inputs) and nothing is printed on stdout.  A
-programming error is not a rejection: it propagates out of ``main``.
+holds only the row's inputs), every input keeps its bytes (a directory stays
+one) and nothing is printed on stdout.  A programming error is not a
+rejection: it propagates out of ``main``.
 """
 
 import os
@@ -79,6 +80,8 @@ ROWS = [
      {}, "levels: levels must lie in [2, 4096], got 1"),
     ("eval-levels-huge", "config", [*_EVAL, "--levels", "1000000000", "--csv", "x.csv"], {},
      "levels: levels must lie in [2, 4096], got 1000000000"),
+    ("eval-levels-abc", "config", [*_EVAL, "--levels", "abc", "--csv", "x.csv"], {},
+     "levels: levels must be an integer, got 'abc'"),
     *[(f"eval-time-{t}", "config", [*_EVAL, f"--time={t}", "--csv", "x.csv"], {},
        f"time: time must be finite, got {t}") for t in ("nan", "inf", "-inf")],
     # verify
@@ -110,6 +113,8 @@ ROWS = [
      "levels: levels must lie in [2, 4096], got 1"),
     ("render-levels-huge", "config", [*_RENDER, "--levels", "1000000000"], {"x.csv": _CSV},
      "levels: levels must lie in [2, 4096], got 1000000000"),
+    ("render-levels-abc", "config", [*_RENDER, "--levels", "abc"], {"x.csv": _CSV},
+     "levels: levels must be an integer, got 'abc'"),
     ("render-nan-value", "config", _RENDER,
      {"x.csv": b"# 4,4,0\n0,0,0,0\n0,nan,0,0\n0,0,0,0\n0,0,0,0\n"},
      "x.csv: field values must all be finite"),
@@ -120,6 +125,12 @@ ROWS = [
     *[(f"render-header-t-{t}", "config", _RENDER,
        {"x.csv": f"# 4,4,{t}\n".encode() + b"1,0,-1,0\n" * 4}, "bad header: t must be finite")
       for t in ("nan", "inf", "-inf", "1e999")],
+    *[(f"render-output-{output}", "config", [*_RENDER, "--output", output], {"x.csv": _CSV},
+       f"--output: {output!r} would overwrite the input") for output in ("x.csv", "./x.csv")],
+    ("render-output-directory", "config", [*_RENDER, "--output", "d"], {"x.csv": _CSV, "d": _DIR},
+     "--output: 'd' is a directory"),
+    ("render-output-no-parent", "config", [*_RENDER, "--output", "missing/r.ppm"],
+     {"x.csv": _CSV}, "--output: no directory 'missing'"),
     # simulate and scenario: config files
     ("simulate-config-not-utf8", "config", ["simulate", "--config", "f.cfg"],
      {"f.cfg": b"\xff\xfe"}, "f.cfg: not UTF-8 text"),
@@ -156,6 +167,12 @@ ROWS = [
      {"f.cfg": _CFG + b"outdir = o\n"}, "--outdir: outdir must not be empty"),
     *[(f"outdir-empty-{name}", "config", ["scenario", name, "--outdir", ""], {},
        "outdir: outdir must not be empty") for name in ("figure1", "constantin-negative")],
+    # an outdir that is a file, or lies under one
+    *[(f"outdir-{name}-{outdir}", "config", [*argv, "--outdir", outdir],
+       {**inputs, "afile": b"x\n"}, f"outdir: {outdir!r}{where} is not a directory")
+      for name, argv, inputs in (("scenario", ["scenario", "f.cfg"], {"f.cfg": _CFG}),
+                                 ("simulate", _RUN, {}), ("figure1", ["scenario", "figure1"], {}))
+      for outdir, where in (("afile", ""), ("afile/sub", " lies under 'afile', which"))],
     # simulate: flags
     ("flag-line-break", "config", [*_RUN, "--kappa", "0.05", "--name", "run\nkappa = 7"], {},
      "--name: name must not contain a line break"),
@@ -235,6 +252,11 @@ def test_a_rejection_keeps_the_contract(kind, argv, inputs, fragment, tmp_path, 
     assert err.startswith(start), err
     assert "Traceback" not in err
     assert _tree(tmp_path) == sorted(inputs)
+    for path, data in inputs.items():   # every input is left as it was given
+        if data is _DIR:
+            assert (tmp_path / path).is_dir()
+        else:
+            assert (tmp_path / path).read_bytes() == data
     assert fragment in err
     assert out == ""
 

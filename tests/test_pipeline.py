@@ -1,10 +1,13 @@
 """One scenario pipeline: figure1 and the solver check through ``run_scenario``,
-one grid parser, one CSV header reader, one rate rule, and flags that reach
-``parse_config`` as pairs."""
+one grid parser, one CSV header reader, one rate rule, flags that reach
+``parse_config`` as pairs, and key lists that name the key table's keys."""
+
+import pathlib
+import re
 
 import pytest
 
-from sqgkit import cli
+from sqgkit import cli, fileio
 from sqgkit.cli import main
 from sqgkit.errors import ConfigError, ConstraintViolation, FormatError
 from sqgkit.fileio import (_TOP_KEYS, ScenarioConfig, parse_config, parse_grid, read_field_csv,
@@ -123,6 +126,14 @@ class TestConfigKeys:
         monkeypatch.setattr(cli, "parse_config", fake_parse_config)
         assert main(argv) == 2
         assert calls == [("", list(zip(_TOP_KEYS, values)))]
+
+    def test_the_docs_list_the_keys_in_table_order(self):
+        block = re.search(r"^Top-level keys.*::\n\n(.*?)\n\n", fileio.__doc__, re.M | re.S)[1]
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("### Config files", 1)[1]
+        rows = section.split("\n###", 1)[0]
+        assert re.findall(r"^    ([a-z_]+)", block, re.M) == list(_TOP_KEYS)
+        assert re.findall(r"^\| `([a-z_]+)` \|", rows, re.M) == list(_TOP_KEYS)
 
 
 class TestHugeWavenumber:
