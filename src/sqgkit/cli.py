@@ -11,9 +11,11 @@ Subcommands::
 
 ``simulate`` has a flag per top-level config key (``--t-end`` for ``t_end``);
 flags reach :func:`~sqgkit.fileio.parse_config` as values that win over the
-config file's, and an error in one names the flag.  Exit codes: 0 success,
-1 verification failure, 2 usage/config error (a bad parameter, from every
-subcommand), 3 runtime error (blowup, I/O failure).  :func:`main` alone turns
+config file's.  The other subcommands hand their values' text to ``fileio``'s
+readers too, so every subcommand reports all issues of its values together,
+each at its flag, and no output may name another path of its command line.
+Exit codes: 0 success, 1 verification failure, 2 usage/config error (a bad
+parameter, from every subcommand), 3 runtime error (blowup, I/O failure).  :func:`main` alone turns
 a typed error into exit 2 or 3: every exit-2 message starts ``config error: ``
 and every exit-3 message ``runtime error: ``.  A programming error is a
 traceback, not an exit code.
@@ -23,15 +25,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 
 from .errors import (ConfigError, DomainError, FormatError, InvalidSolution, SqgError,
                      UnderResolved)
-from .fileio import (_TOP_KEYS, _flag, _read_grid, _read_levels, parse_config, read_field_csv,
+from .fileio import (_TOP_KEYS, ScenarioConfig, _flag, _read_flags, parse_config, read_field_csv,
                      read_field_csv_time, render_contour, write_field_csv)
-from .integrator import parameter_issues
 from .scenario import RESIDUAL_TOL, builtin_scenarios, run_builtin, run_scenario
 from .solutions import _HARD_CODES, builtin_samples, eval_theta, validate
 from .verify import residual
@@ -52,50 +52,45 @@ def _config_text(path) -> str:
         raise ConfigError([(path, f"not UTF-8 text: {exc}")]) from exc
 
 
-def _sample(name: str):
-    samples = builtin_samples()
-    if name not in samples:
-        raise ConfigError([("solution", f"unknown solution {name!r}; known: "
-                                        f"{', '.join(samples)}")])
-    return samples[name]
-
-
-def _require_output(flag: str, path: str) -> None:
-    """Reject an output path that is a directory or whose directory does not
-    exist, before either output is written."""
+def _require_output(flag: str, path: str, what: str = "", taken: str | None = None) -> None:
+    """Reject an output path that is a directory, whose directory does not
+    exist or that names the file at ``taken``, another path of the command
+    line (``what``), before any output is written."""
     if os.path.isdir(path):
         raise ConfigError([(flag, f"{path!r} is a directory")])
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise ConfigError([(flag, f"no directory {parent!r} to write {path!r} in")])
+    if taken:
+        try:
+            same = os.path.samefile(path, taken)
+        except OSError:   # a file that does not exist yet
+            same = os.path.realpath(path) == os.path.realpath(taken)
+        if same:
+            raise ConfigError([(flag, f"{path!r} would overwrite {what}")])
 
 
 def _cmd_eval(args) -> int:
     if not args.csv and not args.ppm:
         raise ConfigError([("eval", "give at least one of --csv/--ppm")])
-    for flag, path in (("--csv", args.csv), ("--ppm", args.ppm)):
-        if path:
-            _require_output(flag, path)
-    levels = _read_levels("levels", args.levels)   # before the CSV is written
-    if not math.isfinite(args.time):
-        raise ConfigError([("time", f"time must be finite, got {args.time}")])
-    issues = parameter_issues(kappa=args.kappa, alpha=args.alpha)
-    if issues:   # also for a datum that has no closed form
-        raise ConfigError(issues)
-    sample = _sample(args.solution)
-    grid = _read_grid("grid", args.grid)
+    vars(args).update(_read_flags(vars(args)))
+    if args.csv:
+        _require_output("--csv", args.csv)
+    if args.ppm:
+        _require_output("--ppm", args.ppm, "the --csv file", args.csv)
+    sample = builtin_samples()[args.solution]
     if sample.exact:
-        field = eval_theta(sample.solution(args.kappa, args.alpha), args.time, grid)
+        field = eval_theta(sample.solution(args.kappa, args.alpha), args.time, args.grid)
     elif args.time == 0.0:
-        field = sample.initial_field(grid)
+        field = sample.initial_field(args.grid)
     else:
-        raise ConfigError([("time", f"{args.solution} is not an exact solution; only t = 0 "
-                                    "can be evaluated in closed form (use 'sqg simulate')")])
+        raise ConfigError([("--time", f"{args.solution} is not an exact solution; only t = 0 "
+                                      "can be evaluated in closed form (use 'sqg simulate')")])
     if args.csv:
         write_field_csv(field, args.csv, t=args.time)
         print(f"wrote {args.csv}")
     if args.ppm:
-        render_contour(field, args.ppm, levels=levels)
+        render_contour(field, args.ppm, levels=args.levels)
         print(f"wrote {args.ppm}")
     return 0
 
@@ -109,9 +104,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    sol = _sample(args.solution).solution(args.kappa, args.alpha)
+    vars(args).update(_read_flags(vars(args)))
+    sol = builtin_samples()[args.solution].solution(args.kappa, args.alpha)
     if sol is None:
-        raise ConfigError([("solution", f"{args.solution} has no closed-form solution object")])
+        raise ConfigError([("--solution", f"{args.solution} has no closed-form solution object")])
     report = validate(sol)
     if any(v.code in _HARD_CODES for v in report.violations):
         raise InvalidSolution(report)   # a bad parameter, not a failed check
@@ -120,18 +116,9 @@ def _cmd_verify(args) -> int:
         for v in report.violations:
             print(f"  - {v.message}")
         return 1
-    grid = _read_grid("grid", args.grid)
-    if not math.isfinite(args.tol):   # a NaN tolerance would read as a failure
-        raise ConfigError([("tol", f"tol must be finite, got {args.tol}")])
-    try:
-        times = [float(t) for t in args.times.split(",") if t.strip()]
-        if not times or not all(map(math.isfinite, times)):   # either would read as a pass
-            raise ValueError("times must be finite" if times else "no times given")
-    except ValueError as exc:
-        raise ConfigError([("times", f"bad times {args.times!r}: {exc}")]) from exc
     worst = 0.0
-    for t in times:
-        rep = residual(sol, t, grid)
+    for t in args.times:
+        rep = residual(sol, t, args.grid)
         worst = max(worst, rep.l_inf)
         print(f"t = {t:g}: residual l_inf = {rep.l_inf:.3e}, l2 = {rep.l2:.3e}, "
               f"advection l_inf = {rep.nonlinear_linf:.3e}")
@@ -142,13 +129,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    levels = _read_levels("levels", args.levels)
-    _require_output("--output", args.output)
-    if os.path.exists(args.output) and os.path.samefile(args.input, args.output):
-        raise ConfigError([("--output", f"{args.output!r} would overwrite the input")])
+    vars(args).update(_read_flags(vars(args)))
+    _require_output("--output", args.output, "the input", args.input)
     field = read_field_csv(args.input)
     t = read_field_csv_time(args.input)   # before the output is written
-    render_contour(field, args.output, levels=levels)
+    render_contour(field, args.output, levels=args.levels)
     print(f"wrote {args.output} ({field.grid.n_x}x{field.grid.n_y}, t = {t:g})")
     return 0
 
@@ -179,15 +164,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "quasi-geostrophic equation on the 2-pi torus.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="evaluate a builtin solution at one time")
-    p.add_argument("--solution", required=True)
-    p.add_argument("--kappa", type=float, default=0.001)
-    p.add_argument("--alpha", type=float, default=0.001)
-    p.add_argument("--time", type=float, default=0.0)
-    p.add_argument("--grid", default="64")
+    # A value is text, its default too: the command reads it by _read_flags.
+    sample = argparse.ArgumentParser(add_help=False)   # the flags of eval and verify
+    sample.add_argument("--solution", required=True)
+    sample.add_argument("--kappa", default="0.001")
+    sample.add_argument("--alpha", default="0.001")
+    sample.add_argument("--grid", default="64")
+    levels = str(ScenarioConfig.levels)
+
+    p = sub.add_parser("eval", parents=[sample], help="evaluate a builtin solution at one time")
+    p.add_argument("--time", default="0")
     p.add_argument("--csv", help="output field CSV path")
     p.add_argument("--ppm", help="output contour image path")
-    p.add_argument("--levels", default="21")
+    p.add_argument("--levels", default=levels)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("simulate", help="run the solver (flags and/or --config)")
@@ -196,19 +185,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(_flag(key))
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("verify", help="residual-check a builtin solution")
-    p.add_argument("--solution", required=True)
-    p.add_argument("--kappa", type=float, default=0.001)
-    p.add_argument("--alpha", type=float, default=0.001)
-    p.add_argument("--grid", default="64")
+    p = sub.add_parser("verify", parents=[sample], help="residual-check a builtin solution")
     p.add_argument("--times", default="0,1,10")
-    p.add_argument("--tol", type=float, default=RESIDUAL_TOL)
+    p.add_argument("--tol", default=str(RESIDUAL_TOL))
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("render", help="render a field CSV to a PPM image")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--levels", default="21")
+    p.add_argument("--levels", default=levels)
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("scenario", help="run a builtin scenario or config file")

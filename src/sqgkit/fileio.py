@@ -105,8 +105,8 @@ _BOOLS = {"true": True, "on": True, "yes": True, "1": True,
 
 # A key's reader takes the key and its text and returns the value.  It raises
 # ParseError for text that does not parse and ConstraintViolation for a value
-# outside the key's domain, located at the key; parse_config moves the issues
-# to the line or flag that gave the text.
+# outside the key's domain, located at the key; parse_config and _read_flags
+# move the issues to the line or flag that gave the text.
 
 def _read_number(key: str, text: str, cast=float):
     try:
@@ -187,11 +187,24 @@ def _read_name(key: str, text: str) -> str:
     return text
 
 
-def _read_threshold(key: str, text: str) -> float:
+def _read_finite(key: str, text: str, low: float = -math.inf) -> float:
     value = _read_number(key, text)
-    if not 0.0 < value < math.inf:
-        raise ConstraintViolation([(key, f"{key} must be finite and > 0, got {value}")])
+    if not low < value < math.inf:
+        above = "" if low == -math.inf else f" and > {low:g}"
+        raise ConstraintViolation([(key, f"{key} must be finite{above}, got {value}")])
     return value
+
+
+_read_threshold = partial(_read_finite, low=0.0)
+
+
+def _read_instants(key: str, text: str) -> tuple:
+    """Finite times in the order given, at least one: a NaN or no time at all
+    would read as a pass of ``sqg verify``."""
+    times = tuple(_read_finite(key, part) for part in text.split(",") if part.strip())
+    if not times:
+        raise ConstraintViolation([(key, f"{key} must name at least one time, got {text!r}")])
+    return times
 
 
 def _key(read, default=MISSING, key: str | None = None):
@@ -223,6 +236,9 @@ class ScenarioConfig:
 
 _FIELDS = {f.metadata["key"] or f.name: f for f in fields(ScenarioConfig)}   # by key
 _TOP_KEYS = tuple(_FIELDS)
+# Each key's reader: a config key's field's, then those of sqg eval's and verify's own values.
+_READERS = {**{key: spec.metadata["read"] for key, spec in _FIELDS.items()},
+            "time": _read_finite, "tol": _read_finite, "times": _read_instants}
 
 
 def _strip_comment(line: str) -> str:
@@ -253,6 +269,22 @@ def _read(read, key: str, entry: tuple, syntax: list, semantic: list):
     except ConstraintViolation as exc:
         semantic.extend((location, message) for _, message in exc.issues)
     return None
+
+
+def _read_flags(texts: dict) -> dict:
+    """The values of the flags in ``texts`` (text by key) that have a reader in
+    :data:`_READERS`, κ and α checked by :func:`parameter_issues` too.  All
+    issues, each at its flag, are raised together: as a ParseError if a text
+    does not parse, else as a ConstraintViolation."""
+    syntax: list = []
+    semantic: list = []
+    values = {key: _read(_READERS[key], key, (_flag(key), text), syntax, semantic)
+              for key, text in texts.items() if key in _READERS}
+    issues = parameter_issues(values.get("kappa"), values.get("alpha"))
+    semantic += [(_flag(key), message) for key, message in issues]
+    if syntax or semantic:
+        raise (ParseError if syntax else ConstraintViolation)(syntax + semantic)
+    return values
 
 
 def parse_config(text: str, overrides=()) -> ScenarioConfig:

@@ -4,8 +4,11 @@ Generated configs (a valid base with generated lines that override or break
 it) go through ``parse_config`` (a ``ConfigError`` or a config, nothing
 else) and through ``sqg scenario``; generated flags, after a valid set, go
 through every subcommand.  Each run must return 0, 1, 2 or 3 with no
-uncaught exception and no traceback on stderr.  Grids are tiny and a
-valid schedule has at most 50 steps (t_end <= 0.1, dt >= 0.002).
+uncaught exception and no traceback on stderr.  Every generated flag is a
+well-formed ``--flag=value``, so a command line that exits 2 does so from a
+reader, with ``config error: ``, never from argparse with ``usage: ``.
+Grids are tiny and a valid schedule has at most 50 steps (t_end <= 0.1,
+dt >= 0.002).
 """
 
 import contextlib
@@ -133,3 +136,4 @@ def test_generated_command_lines(command, data, workdir):
     code, err = _run(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+    assert code != 2 or err.startswith("config error: "), err

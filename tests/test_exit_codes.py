@@ -41,6 +41,12 @@ _CORRELATION = ["--require-correlation-below", "0.5", "--outputs", "csv,report",
                 "--outdir", "o"]
 _BLOWUP = ["simulate", "--solution", "con-1", "--kappa", "0.001", "--outdir", "o"]
 _BAD_NAMES = ["a,b", "../x", "a/b"] + ([f"a{os.altsep}b"] if os.altsep else [])
+_KNOWN = "known: theta1, theta2, theta3, con-1, con-2, con-3"
+# A bad value and the one message that simulate, eval and verify each give for it.
+_SAME_TEXT = [
+    (["--kappa", "-1"], "--kappa: kappa must be finite and > 0, got -1.0"),
+    (["--kappa", "abc"], "--kappa: kappa must be a number, got 'abc'"),
+    (["--solution", "theta9"], f"--solution: unknown builtin solution 'theta9'; {_KNOWN}")]
 
 # (id, kind, argv, inputs {path: bytes, or _DIR}, a fragment of stderr)
 ROWS = [
@@ -52,10 +58,10 @@ ROWS = [
     ("eval-no-output", "config", ["eval", "--solution", "theta1"], {},
      "eval: give at least one of --csv/--ppm"),
     ("eval-unknown-solution", "config", ["eval", "--solution", "theta9", "--csv", "x.csv"], {},
-     "solution: unknown solution 'theta9'; known: theta1, theta2"),
+     f"--solution: unknown builtin solution 'theta9'; {_KNOWN}"),
     ("eval-datum-after-0", "config",
      ["eval", "--solution", "con-2", "--time", "1.0", "--csv", "x.csv"], {},
-     "time: con-2 is not an exact solution; only t = 0 can be evaluated in closed form "
+     "--time: con-2 is not an exact solution; only t = 0 can be evaluated in closed form "
      "(use 'sqg simulate')"),
     ("eval-csv-directory", "config", [*_EVAL, "--csv", "d", "--ppm", "y.ppm"], {"d": _DIR},
      "--csv: 'd' is a directory"),
@@ -65,56 +71,75 @@ ROWS = [
      "--ppm: 'd' is a directory"),
     ("eval-ppm-no-parent", "config", [*_EVAL, "--csv", "x.csv", "--ppm", "missing/y.ppm"], {},
      "--ppm: no directory 'missing'"),
+    *[(f"eval-ppm-{ppm}", "config", [*_EVAL, "--csv", "x.csv", "--ppm", ppm], {},
+       f"--ppm: {ppm!r} would overwrite the --csv file") for ppm in ("x.csv", "./x.csv")],
     ("eval-grid-three-parts", "config",
      ["eval", "--solution", "theta1", "--grid", "64x32x16", "--csv", "x.csv"], {},
-     "grid: bad grid '64x32x16'"),
+     "--grid: bad grid '64x32x16'"),
     ("eval-grid-extent", "config",
      ["eval", "--solution", "theta1", "--grid", "16384", "--csv", "x.csv"], {},
-     "grid: bad grid '16384': n_x must be <= 8192"),
-    ("eval-kappa", "config", [*_EVAL, "--kappa", "-1", "--csv", "x.csv"], {},
-     "kappa must be finite and > 0"),
+     "--grid: bad grid '16384': n_x must be <= 8192"),
     ("eval-datum-parameters", "config",
      ["eval", "--solution", "con-2", "--kappa", "-1", "--alpha", "5", "--grid", "16",
-      "--csv", "x.csv"], {}, "kappa must be finite and > 0"),
+      "--csv", "x.csv"], {},
+     "--kappa: kappa must be finite and > 0, got -1.0; --alpha: alpha must lie in [0, 1), "
+     "got 5.0"),
+    ("eval-every-issue", "config",
+     ["eval", "--solution", "theta9", "--kappa", "abc", "--grid", "13", "--time", "nan",
+      "--levels", "1", "--csv", "x.csv"], {},
+     f"config error: --kappa: kappa must be a number, got 'abc'; --solution: unknown builtin "
+     f"solution 'theta9'; {_KNOWN}; --grid: bad grid '13': n_x must be an even integer >= 4, "
+     f"got 13; --time: time must be finite, got nan; --levels: levels must lie in [2, 4096], "
+     f"got 1\n"),
     ("eval-levels-1", "config", [*_EVAL, "--levels", "1", "--csv", "x.csv", "--ppm", "x.ppm"],
-     {}, "levels: levels must lie in [2, 4096], got 1"),
+     {}, "--levels: levels must lie in [2, 4096], got 1"),
     ("eval-levels-huge", "config", [*_EVAL, "--levels", "1000000000", "--csv", "x.csv"], {},
-     "levels: levels must lie in [2, 4096], got 1000000000"),
+     "--levels: levels must lie in [2, 4096], got 1000000000"),
     ("eval-levels-abc", "config", [*_EVAL, "--levels", "abc", "--csv", "x.csv"], {},
-     "levels: levels must be an integer, got 'abc'"),
+     "--levels: levels must be an integer, got 'abc'"),
     *[(f"eval-time-{t}", "config", [*_EVAL, f"--time={t}", "--csv", "x.csv"], {},
-       f"time: time must be finite, got {t}") for t in ("nan", "inf", "-inf")],
+       f"--time: time must be finite, got {t}") for t in ("nan", "inf", "-inf")],
+    # one bad value, one text from every subcommand
+    *[(f"{name}{flags[0]}-{flags[1]}", "config", [*argv, *flags], {},
+       f"config error: {message}\n")
+      for flags, message in _SAME_TEXT
+      for name, argv in (("simulate", _RUN), ("eval", [*_EVAL, "--csv", "x.csv"]),
+                         ("verify", _VERIFY))],
     # verify
-    ("verify-unknown-solution", "config", ["verify", "--solution", "theta9"], {},
-     "solution: unknown solution 'theta9'; known: theta1, theta2"),
     ("verify-no-closed-form", "config", ["verify", "--solution", "con-2"], {},
-     "solution: con-2 has no closed-form solution object"),
-    ("verify-grid-odd", "config", [*_VERIFY, "--grid", "13"], {}, "grid: bad grid '13'"),
+     "--solution: con-2 has no closed-form solution object"),
+    ("verify-grid-odd", "config", [*_VERIFY, "--grid", "13"], {}, "--grid: bad grid '13'"),
     ("verify-grid-three-parts", "config", [*_VERIFY, "--grid", "64x32x16"], {},
-     "grid: bad grid '64x32x16'"),
+     "--grid: bad grid '64x32x16'"),
     ("verify-grid-extent", "config", [*_VERIFY, "--grid", "16x16384"], {},
-     "n_y must be <= 8192"),
+     "--grid: bad grid '16x16384': n_y must be <= 8192"),
     ("verify-grid-too-coarse", "config", ["verify", "--solution", "theta2", "--grid", "8"], {},
      "resolves modes up to"),
     ("verify-alpha-nan", "config", [*_VERIFY, "--alpha", "nan"], {},
-     "alpha must lie in [0, 1), got nan"),
+     "--alpha: alpha must lie in [0, 1), got nan"),
     ("verify-rate-overflow", "config", [*_VERIFY, "--kappa", "1e308", "--alpha", "0.9"], {},
      "decay rate"),
-    ("verify-tol-nan", "config", [*_VERIFY, "--tol", "nan"], {}, "tol: tol must be finite"),
+    ("verify-tol-nan", "config", [*_VERIFY, "--tol", "nan"], {},
+     "--tol: tol must be finite, got nan"),
+    ("verify-tol-abc", "config", [*_VERIFY, "--tol", "abc"], {},
+     "--tol: tol must be a number, got 'abc'"),
     *[(f"verify-times-{i}", "config", [*_VERIFY, "--grid", "16", "--times", times], {},
-       "no times given") for i, times in enumerate(["", " , ", ","])],
+       f"--times: times must name at least one time, got {times!r}")
+      for i, times in enumerate(["", " , ", ","])],
     *[(f"verify-times-{times}", "config", [*_VERIFY, "--times", times], {},
-       f"times: bad times {times!r}") for times in ("abc", "0,nan", "inf")],
+       f"--times: times must {rule}") for times, rule in [
+           ("abc", "be a number, got 'abc'"), ("0,nan", "be finite, got nan"),
+           ("inf", "be finite, got inf")]],
     # render
     ("render-missing-input", "config", _RENDER, {}, "No such file or directory: 'x.csv'"),
     ("render-input-directory", "config", _RENDER, {"x.csv": _DIR},
      "Is a directory: 'x.csv'"),
     ("render-levels-1", "config", [*_RENDER, "--levels", "1"], {"x.csv": _CSV},
-     "levels: levels must lie in [2, 4096], got 1"),
+     "--levels: levels must lie in [2, 4096], got 1"),
     ("render-levels-huge", "config", [*_RENDER, "--levels", "1000000000"], {"x.csv": _CSV},
-     "levels: levels must lie in [2, 4096], got 1000000000"),
+     "--levels: levels must lie in [2, 4096], got 1000000000"),
     ("render-levels-abc", "config", [*_RENDER, "--levels", "abc"], {"x.csv": _CSV},
-     "levels: levels must be an integer, got 'abc'"),
+     "--levels: levels must be an integer, got 'abc'"),
     ("render-nan-value", "config", _RENDER,
      {"x.csv": b"# 4,4,0\n0,0,0,0\n0,nan,0,0\n0,0,0,0\n0,0,0,0\n"},
      "x.csv: field values must all be finite"),
@@ -180,8 +205,6 @@ ROWS = [
        "--name: name must not contain") for name in _BAD_NAMES],
     *[(f"flag{flags[0]}-{flags[1]}", "config", [*_RUN, *flags], {}, fragment)
       for flags, fragment in [
-          (["--kappa", "-1"], "--kappa: kappa must be finite and > 0"),
-          (["--kappa", "abc"], "--kappa: kappa must be a number"),
           (["--t-end", "nan"], "--t-end: t_end must be finite"),
           (["--levels", "abc"], "--levels: levels must be an integer"),
           (["--levels", "1"], "--levels: levels must lie in [2, 4096], got 1"),

@@ -31,6 +31,11 @@ findings that move a decision away from its owner:
 - *exits*: only ``cli.main`` turns a rejection into exit 2 or 3, from a typed
   error, so every such exit prints the same prefix: no other ``cli`` function
   returns the literal 2 or 3 (``CONTROLS`` counts the two in ``main``).
+- *values*: only ``fileio``'s readers turn a command-line value's text into a
+  value, so every subcommand reads it as a config file's value is read and an
+  error names the flag: ``cli`` makes no ``float`` call and passes no
+  ``type=`` to ``add_argument`` (``CONTROLS`` sees the keywords of
+  ``_build_parser`` and the ``float`` call of ``fileio._read_times``).
 
 A new rule is one ``RULES`` entry plus its ``PLANTED`` rows; a rule with an
 owner gets a ``CONTROLS`` row too, so a scan blind to its construct fails.  A
@@ -90,7 +95,8 @@ def scan(source: str) -> list[tuple[int, str, str | int | None, str]]:
     """Every finding in ``source`` as ``(line, kind, what, caller)``.
 
     Kinds: ``name`` (a name, attribute or imported name), ``call`` (the callee's
-    name), ``isinstance`` (each class tested), ``layout`` (a layout shape),
+    name), ``keyword`` (each keyword argument of a call, as ``callee(name=)``),
+    ``isinstance`` (each class tested), ``layout`` (a layout shape),
     ``config line`` (an f-string that starts one, each replacement field shown
     as ``{}``) and ``return`` (a constant int returned, as the int).  The
     caller is the innermost enclosing function, or ``<module>``.
@@ -105,6 +111,8 @@ def scan(source: str) -> list[tuple[int, str, str | int | None, str]]:
             found.append((line, "name", name, caller))
         if isinstance(node, ast.Call):
             found.append((line, "call", _name(node.func), caller))
+            found.extend((line, "keyword", f"{_name(node.func)}({kw.arg}=)", caller)
+                         for kw in node.keywords)
             if _name(node.func) == "isinstance" and len(node.args) == 2:
                 kinds = node.args[1]
                 found.extend((line, "isinstance", _name(kind), caller)
@@ -171,6 +179,9 @@ RULES = {
     "exits": lambda module, found: [] if module != "cli.py" else [
         (line, f"{caller} returns {what}") for line, kind, what, caller in found
         if kind == "return" and what in (2, 3) and caller != "main"],
+    "values": lambda module, found: [] if module != "cli.py" else [
+        (line, f"{caller} calls {what}") for line, kind, what, caller in found
+        if (kind, what) in (("call", "float"), ("keyword", "add_argument(type=)"))],
 }
 
 # (rule, module, planted source, what the rule finds in it)
@@ -239,6 +250,17 @@ PLANTED = [
     ("exits", "cli.py", "def _cmd_eval(a):\n    return 2", ["_cmd_eval returns 2"]),
     ("exits", "cli.py", "def main(a):\n    return 3", []),
     ("exits", "cli.py", "def _cmd_verify(a):\n    return 1", []),
+    ("values", "cli.py", 'p.add_argument("--kappa", type=float, default=0.001)',
+     ["<module> calls add_argument(type=)"]),
+    ("values", "cli.py", 'def _build_parser():\n    p.add_argument("--n", type=int)',
+     ["_build_parser calls add_argument(type=)"]),
+    ("values", "cli.py", 'def _cmd_verify(a):\n    times = [float(t) for t in a.times.split(",")]',
+     ["_cmd_verify calls float"]),
+    ("values", "cli.py", "if not math.isfinite(float(args.tol)):\n    pass",
+     ["<module> calls float"]),
+    ("values", "cli.py", 'p.add_argument("--tol", default="1e-10")\nv = _read_flags(vars(a))', []),
+    ("values", "cli.py", "x = float_text + floats(t) + parser.add(type=float)", []),
+    ("values", "fileio.py", "def _read_times(k, t):\n    return [float(p) for p in t]", []),
 ]
 
 # owner: (the finding it owns, how many its scan holds; None for at least one)
@@ -253,6 +275,10 @@ CONTROLS = {
     "scenario.py:_run:rows": (lambda *finding: finding == ("call", "_residual_linf", "_run"), 1),
     "cli.py:main": (lambda kind, what, caller: kind == "return" and caller == "main"
                     and what in (2, 3), 2),
+    "cli.py:_build_parser": (lambda kind, what, caller: kind == "keyword"
+                             and what.startswith("add_argument(") and caller == "_build_parser",
+                             None),
+    "fileio.py:_read_times": (lambda *finding: finding == ("call", "float", "_read_times"), 1),
 }
 
 
