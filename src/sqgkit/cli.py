@@ -14,6 +14,8 @@ flags reach :func:`~sqgkit.fileio.parse_config` as values that win over the
 config file's.  The other subcommands hand their values' text to ``fileio``'s
 readers too, so every subcommand reports all issues of its values together,
 each at its flag, and no output may name another path of its command line.
+Every flag but ``--help`` takes a value, after ``=`` or as the next
+argument alike, also one that starts with ``-`` (``--kappa -inf``).
 Exit codes: 0 success, 1 verification failure, 2 usage/config error (a bad
 parameter, from every subcommand), 3 runtime error (blowup, I/O failure).  :func:`main` alone turns
 a typed error into exit 2 or 3: every exit-2 message starts ``config error: ``
@@ -205,10 +207,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined(argv: list) -> list:
+    """``argv`` with each ``--flag value`` whose value starts with one ``-``
+    written ``--flag=value``: argparse would take ``-inf`` or ``-1e3`` for a
+    flag of its own, and every flag of sqg but ``--help`` takes a value."""
+    joined: list = []
+    for arg in argv:
+        flag = joined[-1] if joined else ""
+        if (flag.startswith("--") and "=" not in flag and not "--help".startswith(flag)
+                and arg.startswith("-") and not arg.startswith("--") and arg != "-"):
+            joined[-1] = flag + "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     """Entry point; returns the process exit code (see module docstring)."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:   # argparse exits on usage errors and --help
         return int(exc.code or 0)
     try:

@@ -31,10 +31,18 @@ Top-level keys, the fields of :class:`ScenarioConfig` in order::
                fall below it (used by the non-stationarity checks); only a
                non-exact datum with t_end > 0 takes it
 
-``[solution]`` keys: ``family`` (eigenmode | unidirectional) plus ``n``, ``m``
-and, for eigenmode, ``k`` and ``c1`` … ``c8``; for unidirectional, ``modes``
-as comma-separated ``k:a:b`` triples.  ``kappa``/``alpha`` are taken from the
-top level.
+``[solution]`` keys: ``family`` names a class of ``solutions._FAMILIES``, and
+that class's fields but ``kappa`` and ``alpha`` (the top level's) are the
+section's other keys, in order.  A field's type picks its reader, a field
+with no default is a required key, and a key of another family is unknown::
+
+    eigenmode       n, m (integers, required), k (an integer, default 0),
+                    c1, c2, c3, c4, c5, c6, c7, c8 (numbers, default 0)
+    unidirectional  n, m (integers, required), modes (comma-separated
+                    k:a:b triples, default none)
+
+An issue of the whole section (its family, a missing key, a solution that
+fails validation) is reported at the line of its first key.
 
 Field CSV format
 ----------------
@@ -77,8 +85,7 @@ import numpy as np
 
 from .errors import ConstraintViolation, DomainError, FormatError, ParseError, UnknownKey
 from .integrator import parameter_issues
-from .solutions import (EigenmodeSolution, UnidirectionalSolution, builtin_samples,
-                        validate)
+from .solutions import _FAMILIES, builtin_samples, validate
 from .spectral import MAX_EXTENT, GridSpec, PhysicalField
 
 __all__ = [
@@ -95,8 +102,6 @@ MAX_LEVELS = 4096   # contour bands; the colour table is built one band at a tim
 _CSV_BLOCK_VALUES = 2048   # values formatted per write, about 200 bytes each meanwhile
 _RENDER_BLOCK_VALUES = 1 << 15   # pixels rendered per write, about 19 bytes each meanwhile
 
-_SOLUTION_KEYS = {"family", "n", "m", "k", "modes",
-                  "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8"}
 _OUTPUT_KINDS = ("csv", "ppm", "report")
 _MODES = ("auto", "exact", "simulate", "both")
 _BOOLS = {"true": True, "on": True, "yes": True, "1": True,
@@ -117,6 +122,19 @@ def _read_number(key: str, text: str, cast=float):
 
 
 _read_integer = partial(_read_number, cast=int)
+
+
+def _read_modes(key: str, text: str) -> tuple:
+    modes, issues = [], []
+    for triple in text.split(","):
+        try:
+            k, a, b = triple.split(":")   # a ValueError unless three parts
+            modes.append((int(k), float(a), float(b)))
+        except ValueError:
+            issues.append((key, f"modes entries must be k:a:b, got {triple.strip()!r}"))
+    if issues:
+        raise ParseError(issues)
+    return tuple(modes)
 
 
 def _read_solution(key: str, text: str) -> str:
@@ -236,6 +254,13 @@ class ScenarioConfig:
 
 _FIELDS = {f.metadata["key"] or f.name: f for f in fields(ScenarioConfig)}   # by key
 _TOP_KEYS = tuple(_FIELDS)
+# A family's [solution] keys: its class's fields but κ and α, read by type name.
+_FAMILY_FIELDS = {family: {f.name: f for f in fields(cls) if f.name not in ("kappa", "alpha")}
+                  for family, cls in _FAMILIES.items()}
+_SOLUTION_KEYS = {"family"}.union(*_FAMILY_FIELDS.values())
+_SHARED = {key: spec for key, spec in next(iter(_FAMILY_FIELDS.values())).items()
+           if all(key in keys for keys in _FAMILY_FIELDS.values())}   # every family's
+_TYPE_READERS = {"int": _read_integer, "float": _read_number, "tuple": _read_modes}
 # Each key's reader: a config key's field's, then those of sqg eval's and verify's own values.
 _READERS = {**{key: spec.metadata["read"] for key, spec in _FIELDS.items()},
             "time": _read_finite, "tol": _read_finite, "times": _read_instants}
@@ -271,6 +296,26 @@ def _read(read, key: str, entry: tuple, syntax: list, semantic: list):
     return None
 
 
+def _known(keys, entries: list, unknown: list, where: str = "") -> dict:
+    """The last entry of each of ``keys`` in ``entries``; any other is unknown."""
+    unknown += [(e[0], f"unknown key {k!r}{where}") for k, e in entries if k not in keys]
+    return {k: e for k, e in entries if k in keys}
+
+
+def _read_keys(keys: dict, given: dict, at, syntax: list, semantic: list) -> dict:
+    """By field name, each of ``keys`` (dataclass fields by key) that ``given`` holds, read by
+    its ``read`` or type; None where that raises or a required key is missing (at ``at``)."""
+    values = {}
+    for key, spec in keys.items():
+        if key in given:
+            read = spec.metadata.get("read") or _TYPE_READERS[spec.type]
+            values[spec.name] = _read(read, key, given[key], syntax, semantic)
+        elif spec.default is MISSING and spec.default_factory is MISSING:
+            syntax.append((at, f"missing required key: {key}"))
+            values[spec.name] = None
+    return values
+
+
 def _read_flags(texts: dict) -> dict:
     """The values of the flags in ``texts`` (text by key) that have a reader in
     :data:`_READERS`, κ and α checked by :func:`parameter_issues` too.  All
@@ -294,10 +339,11 @@ def parse_config(text: str, overrides=()) -> ScenarioConfig:
     the file's entries, so they win.  A value is stripped as a file value is
     and may hold a ``#``; a line break in it is an error.
 
-    Each key given is read by its :class:`ScenarioConfig` field's reader; a
-    key not given takes the field's default.  All problems are reported
-    together, each tagged with its line number, or for an override with its
-    flag (:func:`_flag`).
+    Each key given is read by its field's reader, of :class:`ScenarioConfig`
+    at the top level and of the family's class in a ``[solution]`` section
+    (:func:`_read_keys`); a key not given takes the field's default.  All
+    problems are reported together, each tagged with its line number, or for
+    an override with its flag (:func:`_flag`).
 
     Raises:
         ParseError: Malformed lines or missing required keys.
@@ -308,8 +354,7 @@ def parse_config(text: str, overrides=()) -> ScenarioConfig:
     syntax: list = []      # (line, message) — malformed lines / missing keys
     unknown: list = []     # unknown key assignments
     semantic: list = []    # range/constraint problems
-    top: dict[str, tuple[int | str, str]] = {}   # key: (line or flag, value)
-    sol_section: dict[str, tuple[int, str]] = {}
+    entries: dict = {None: [], "solution": [], "?": []}   # (key, (line or flag, value)) by section
     section = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -327,35 +372,19 @@ def parse_config(text: str, overrides=()) -> ScenarioConfig:
             syntax.append((lineno, f"expected 'key = value', got {line!r}"))
             continue
         key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        if section is None:
-            if key not in _TOP_KEYS:
-                unknown.append((lineno, f"unknown key {key!r}"))
-            else:
-                top[key] = (lineno, value)   # last assignment wins
-        elif section == "solution":
-            if key not in _SOLUTION_KEYS:
-                unknown.append((lineno, f"unknown key {key!r} in [solution]"))
-            else:
-                sol_section[key] = (lineno, value)
+        entries[section].append((key.strip().lower(), (lineno, value.strip())))
     for key, value in overrides:
-        flag = _flag(key)
         if "".join(value.splitlines()) != value:   # it drops every line break
-            syntax.append((flag, f"{key} must not contain a line break, got {value!r}"))
-        elif key not in _TOP_KEYS:
-            unknown.append((flag, f"unknown key {key!r}"))
+            syntax.append((_flag(key), f"{key} must not contain a line break, got {value!r}"))
         else:
-            top[key] = (flag, value.strip())
+            entries[None].append((key, (_flag(key), value.strip())))
 
-    values = {}   # field name: value, None where the reader raised
-    for key, spec in _FIELDS.items():
-        if key == "solution" and sol_section:
-            continue   # the [solution] rule below
-        if key in top:
-            values[spec.name] = _read(spec.metadata["read"], key, top[key], syntax, semantic)
-        elif spec.default is MISSING:
-            syntax.append(("config", f"missing required key: {key}"))
+    top = _known(_TOP_KEYS, entries[None], unknown)
+    family = dict(entries["solution"]).get("family", (0, ""))[1].lower()
+    sol_section = _known({"family", *_FAMILY_FIELDS.get(family, _SOLUTION_KEYS)},
+                         entries["solution"], unknown, " in [solution]")
+    keys = {k: f for k, f in _FIELDS.items() if k != "solution" or not sol_section}
+    values = _read_keys(keys, top, "config", syntax, semantic)   # a section's solution: below
 
     kappa, alpha, t_end = values.get("kappa"), values.get("alpha"), values.get("t_end")
     if "dt" not in top and t_end is not None and t_end > 0.0:
@@ -369,8 +398,8 @@ def parse_config(text: str, overrides=()) -> ScenarioConfig:
         lineno = sol_section[next(iter(sol_section))][0]
         semantic.append((lineno, "give either 'solution = <name>' or a [solution] "
                                  "section, not both"))
-    elif sol_section:
-        values["solution"] = _parse_solution_section(sol_section, kappa, alpha, syntax, semantic)
+    elif sol_section and None not in (kappa, alpha):   # else reported at the top level
+        values["solution"] = _read_section(family, sol_section, kappa, alpha, syntax, semantic)
     if not values.get("name"):
         values["name"] = "custom" if sol_section else values.get("solution", "")
 
@@ -401,41 +430,17 @@ def parse_grid(text: str) -> GridSpec:
     return GridSpec(*dims)
 
 
-def _parse_solution_section(section, kappa, alpha, syntax, semantic):
-    if kappa is None or alpha is None:
-        return None   # already reported as missing/invalid at the top level
-
-    def take(key, read, default):
-        value = _read(read, key, section[key], syntax, semantic) if key in section else None
-        return default if value is None else value
-
-    lineno = section[next(iter(section))][0]
-    family = section.get("family", (lineno, ""))[1].lower()
-    n, m = (take(key, _read_integer, 0) for key in ("n", "m"))
-    if family == "eigenmode":
-        sol = EigenmodeSolution(
-            n=n, m=m, k=take("k", _read_integer, 0), kappa=kappa, alpha=alpha,
-            **{f"c{i}": take(f"c{i}", _read_number, 0.0) for i in range(1, 9)})
-    elif family == "unidirectional":
-        modes = []
-        if "modes" in section:
-            ln, raw = section["modes"]
-            for triple in raw.split(","):
-                try:
-                    k, a, b = triple.split(":")   # a ValueError unless three parts
-                    modes.append((int(k), float(a), float(b)))
-                except ValueError:
-                    syntax.append((ln, f"modes entries must be k:a:b, got {triple.strip()!r}"))
-        sol = UnidirectionalSolution(n=n, m=m, kappa=kappa, alpha=alpha, modes=tuple(modes))
-    else:
-        semantic.append((lineno, f"family must be eigenmode or unidirectional, got {family!r}"))
-        return None
-    report = validate(sol)
-    if not report.ok:
-        for v in report.violations:
-            semantic.append((lineno, f"invalid solution: {v.message}"))
-        return None
-    return sol
+def _read_section(family: str, section: dict, kappa, alpha, syntax, semantic):
+    """The solution a ``[solution]`` ``section`` (entries by key) defines, or None."""
+    lineno = section[next(iter(section))][0]   # for the issues of the whole section
+    values = _read_keys(_FAMILY_FIELDS.get(family, _SHARED), section, lineno, syntax, semantic)
+    if family not in _FAMILIES:
+        semantic.append((lineno, f"family must be {' or '.join(_FAMILIES)}, got {family!r}"))
+    elif None not in values.values():   # else reported by their readers
+        sol = _FAMILIES[family](kappa=kappa, alpha=alpha, **values)
+        semantic += [(lineno, "invalid solution: " + v.message) for v in validate(sol).violations]
+        return sol
+    return None
 
 
 # --------------------------------------------------------------------------

@@ -138,6 +138,10 @@ class UnidirectionalSolution:
         object.__setattr__(self, "modes", normalized)
 
 
+# Each family's class by name: its fields but κ and α are its [solution] keys.
+_FAMILIES = {"eigenmode": EigenmodeSolution, "unidirectional": UnidirectionalSolution}
+
+
 @dataclass(frozen=True)
 class Violation:
     """One violated solution invariant; ``code`` is stable, ``message`` is for humans."""
@@ -286,11 +290,13 @@ def _decay(rate: float, t: float) -> float:
     """The weight ``e^(-rate t)``, exactly 1 at ``t = 0`` whatever the rate.
 
     Raises:
-        DomainError: The weight overflows a double, as it does for a large
-            negative ``t``.
+        DomainError: ``t`` is not finite, or the weight overflows a double, as
+            it does for a large negative ``t``.
     """
     if not t:
         return 1.0
+    if not math.isfinite(t):   # inf would give a zero weight, or NaN at rate 0
+        raise DomainError(f"t must be finite, got {t!r}")
     try:
         weight = math.exp(-rate * t)
     except OverflowError:
@@ -523,8 +529,8 @@ def eval_theta(sol: Solution, t: float, grid: GridSpec) -> PhysicalField:
 
     Raises:
         InvalidSolution: If :func:`validate` reports any violation.
-        DomainError: If a decay weight ``e^(-rate t)`` overflows (a large
-            negative ``t``).
+        DomainError: If ``t`` is not finite or a decay weight ``e^(-rate t)``
+            overflows (a large negative ``t``).
     """
     _require_valid(sol)
     return PhysicalField._owning(grid, _on_grid(sol, t, grid))
@@ -540,7 +546,7 @@ def eval_velocity(sol: Solution, t: float, grid: GridSpec) -> tuple[PhysicalFiel
 
     Raises:
         InvalidSolution: If validation fails.
-        DomainError: If a decay weight ``e^(-rate t)`` overflows.
+        DomainError: If ``t`` is not finite or a decay weight ``e^(-rate t)`` overflows.
     """
     _require_valid(sol)
     u, v = _velocity_at(sol, t, *_node_axes(grid.n_x, grid.n_y))
@@ -552,7 +558,7 @@ def eval_dtheta_dt(sol: Solution, t: float, grid: GridSpec) -> PhysicalField:
 
     Raises:
         InvalidSolution: If validation fails.
-        DomainError: If a decay weight ``e^(-rate t)`` overflows.
+        DomainError: If ``t`` is not finite or a decay weight ``e^(-rate t)`` overflows.
     """
     _require_valid(sol)
     return PhysicalField._owning(grid, _on_grid(sol, t, grid, d_dt=True))

@@ -264,8 +264,8 @@ def residual(sol, t: float, grid: GridSpec, kappa: float | None = None,
             constraint does *not* raise — it shows up as a large
             ``nonlinear_linf``.
         UnderResolved: If the grid margin check fails.
-        DomainError: If a decay weight ``e^(-rate t)`` overflows (a large
-            negative ``t``).
+        DomainError: If ``t`` is not finite or a decay weight ``e^(-rate t)``
+            overflows (a large negative ``t``).
     """
     sol = _resolved(_sol.with_parameters(sol, kappa, alpha), grid)
     resid, work = np.empty(grid.shape), np.empty(grid.shape)

@@ -5,23 +5,28 @@ it) go through ``parse_config`` (a ``ConfigError`` or a config, nothing
 else) and through ``sqg scenario``; generated flags, after a valid set, go
 through every subcommand.  Each run must return 0, 1, 2 or 3 with no
 uncaught exception and no traceback on stderr.  Every generated flag is a
-well-formed ``--flag=value``, so a command line that exits 2 does so from a
-reader, with ``config error: ``, never from argparse with ``usage: ``.
+well-formed ``--flag=value`` or ``--flag value``, whatever the value starts
+with, so a command line that exits 2 does so from a reader, with
+``config error: ``, never from argparse with ``usage: ``; and the two forms
+give the same exit code, stdout and stderr.
 Grids are tiny and a valid schedule has at most 50 steps (t_end <= 0.1,
 dt >= 0.002).
 """
 
+import argparse
 import contextlib
 import io
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from sqgkit import cli
 from sqgkit.cli import main
 from sqgkit.errors import ConfigError
 from sqgkit.fileio import ScenarioConfig, parse_config
 
-_NUMBERS = ["0", "1", "-1", "0.5", "nan", "inf", "-inf", "1e308", "1e-300", "abc", ""]
+_NUMBERS = ["0", "1", "-1", "0.5", "nan", "inf", "-inf", "-1e3", "-.5e-3", "1e308", "1e-300",
+            "abc", ""]
 _VALUES = {
     "solution": ["theta1", "theta2", "theta3", "con-1", "con-2", "nope", ""],
     "kappa": ["0.01", "0.5", *_NUMBERS],
@@ -79,17 +84,19 @@ _SUBCOMMANDS = {
 
 
 def _flags(keys):
-    pair = st.sampled_from(keys).flatmap(
-        lambda key: st.sampled_from(_VALUES.get(key, _NUMBERS)).map(
-            lambda v: f"--{key.replace('_', '-')}={v}"))
-    return st.lists(pair, max_size=4)
+    """``(flag, value, spaced)`` triples: a flag, its value and whether the
+    value follows as the next argument rather than after ``=``."""
+    triple = st.sampled_from(keys).flatmap(
+        lambda key: st.tuples(st.just("--" + key.replace("_", "-")),
+                              st.sampled_from(_VALUES.get(key, _NUMBERS)), st.booleans()))
+    return st.lists(triple, max_size=4)
 
 
-def _run(argv) -> tuple[int, str]:
+def _run(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +122,7 @@ def test_generated_configs(text, workdir):
     assert config is None or isinstance(config, ScenarioConfig)
     path = workdir / "x.cfg"
     path.write_text(text)
-    code, err = _run(["scenario", str(path), "--outdir", str(workdir / "scenario")])
+    code, _, err = _run(["scenario", str(path), "--outdir", str(workdir / "scenario")])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
     assert (code == 2) if config is None else True
@@ -125,15 +132,34 @@ def test_generated_configs(text, workdir):
 @given(command=st.sampled_from(sorted(_SUBCOMMANDS)), data=st.data())
 def test_generated_command_lines(command, data, workdir):
     base, keys = _SUBCOMMANDS[command]
-    argv = [command, *base, *data.draw(_flags(keys))]
+    flags = data.draw(_flags(keys))
+    tail = []
     if command == "eval":
-        argv += ["--csv", str(workdir / "e.csv"), "--ppm", str(workdir / "e.ppm")]
+        tail = ["--csv", str(workdir / "e.csv"), "--ppm", str(workdir / "e.ppm")]
     elif command == "simulate":
-        argv += ["--outdir", str(workdir / "sim")]
+        tail = ["--outdir", str(workdir / "sim")]
     elif command == "render":
-        argv += ["--input", str(workdir / data.draw(st.sampled_from(
+        tail = ["--input", str(workdir / data.draw(st.sampled_from(
             ["good.csv", "bad.csv", "missing.csv"]))), "--output", str(workdir / "r.ppm")]
-    code, err = _run(argv)
+    joined = [f"{flag}={value}" for flag, value, _ in flags]
+    drawn = [arg for flag, value, spaced in flags
+             for arg in ([flag, value] if spaced else [f"{flag}={value}"])]
+    code, out, err = _run([command, *base, *joined, *tail])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
     assert code != 2 or err.startswith("config error: "), err
+    assert _run([command, *base, *drawn, *tail]) == (code, out, err)
+
+
+def test_every_flag_but_help_takes_one_value():
+    """The rule by which ``cli`` joins ``--flag -value`` into ``--flag=-value``."""
+    parser = cli._build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    for sub in commands.values():
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                assert action.option_strings == ["-h", "--help"]
+            elif action.option_strings:
+                assert action.nargs is None and all(
+                    flag.startswith("--") for flag in action.option_strings), action

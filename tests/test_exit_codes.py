@@ -28,6 +28,7 @@ _DIR = None   # an input that is an empty directory, not a file
 _CFG = b"solution = theta1\nkappa = 0.01\nalpha = 0.5\ngrid = 16\nt_end = 0\n"
 _BAD_C1 = (b"kappa = 0.01\nalpha = 0.5\ngrid = 16\nt_end = 0\n"
            b"[solution]\nfamily = eigenmode\nn = 1\nm = 1\nk = 1\nc1 = abc\n")
+_SECTION = b"kappa = 0.01\nalpha = 0.5\ngrid = 16\nt_end = 0\n[solution]\n"   # to line 5
 _CSV = b"# 4,4,0.5\n" + b"1,0,-1,0\n" * 4
 _RENDER = ["render", "--input", "x.csv", "--output", "x.ppm"]
 _EVAL = ["eval", "--solution", "theta1", "--grid", "16"]
@@ -46,7 +47,8 @@ _KNOWN = "known: theta1, theta2, theta3, con-1, con-2, con-3"
 _SAME_TEXT = [
     (["--kappa", "-1"], "--kappa: kappa must be finite and > 0, got -1.0"),
     (["--kappa", "abc"], "--kappa: kappa must be a number, got 'abc'"),
-    (["--solution", "theta9"], f"--solution: unknown builtin solution 'theta9'; {_KNOWN}")]
+    (["--solution", "theta9"], f"--solution: unknown builtin solution 'theta9'; {_KNOWN}"),
+    (["--kappa", "-inf"], "--kappa: kappa must be finite and > 0, got -inf")]
 
 # (id, kind, argv, inputs {path: bytes, or _DIR}, a fragment of stderr)
 ROWS = [
@@ -130,6 +132,8 @@ ROWS = [
        f"--times: times must {rule}") for times, rule in [
            ("abc", "be a number, got 'abc'"), ("0,nan", "be finite, got nan"),
            ("inf", "be finite, got inf")]],
+    ("verify-times--inf", "config", [*_VERIFY, "--times", "-inf"], {},
+     "config error: --times: times must be finite, got -inf\n"),
     # render
     ("render-missing-input", "config", _RENDER, {}, "No such file or directory: 'x.csv'"),
     ("render-input-directory", "config", _RENDER, {"x.csv": _DIR},
@@ -179,6 +183,14 @@ ROWS = [
      {"f.cfg": _BAD_C1}, "line 10: c1 must be a number"),
     ("scenario-line-numbers", "config", ["scenario", "f.cfg", "--outdir", "o"],
      {"f.cfg": _BAD_C1}, "line 10: c1 must be a number"),
+    # [solution] keys: the fields of the family's class
+    *[(f"section-{name}", "config", ["scenario", "f.cfg"], {"f.cfg": _SECTION + lines},
+       f"config error: {message}\n") for name, lines, message in [
+          ("other-family-k", b"family = unidirectional\nn = 1\nm = 2\nmodes = 1:1:0\nk = 5\n",
+           "line 10: unknown key 'k' in [solution]"),
+          ("other-family-modes", b"family = eigenmode\nn = 1\nm = 1\nc1 = 1\nmodes = 1:1:0\n",
+           "line 10: unknown key 'modes' in [solution]"),
+          ("no-n", b"family = eigenmode\nm = 1\nc1 = 1\n", "line 6: missing required key: n")]],
     *[(f"scenario-nul-{key}", "config", ["scenario", "f.cfg"],
        {"f.cfg": _CFG + b"outputs = report,csv\n" + line}, "NUL byte")
       for key, line in (("name", b"name = a\x00b\noutdir = o\n"),

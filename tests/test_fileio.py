@@ -175,6 +175,18 @@ class TestParseConfig:
                 c8 = 1
             """))
 
+    @pytest.mark.parametrize("lines, issues", [
+        ("family = eigenmode\nn = 1\nm = 0\nc1 = x\n", [(9, "c1 must be a number, got 'x'")]),
+        ("family = unidirectional\nn = 0\nm = 0\nmodes = 1:1:0, x\n",
+         [(9, "modes entries must be k:a:b, got 'x'")]),
+        ("family = unidirectional\nm = 2\nmodes = 1:1:0\n", [(6, "missing required key: n")]),
+    ])
+    def test_a_bad_or_missing_section_key_is_its_only_issue(self, lines, issues):
+        # The section is not validated, so n*m = 0 or n = m = 0 adds nothing.
+        with pytest.raises(ParseError) as exc:
+            parse_config("kappa = 0.001\nalpha = 0.4\ngrid = 64\nt_end = 0\n[solution]\n" + lines)
+        assert exc.value.issues == issues
+
     def test_all_issues_are_collected(self):
         # One malformed line plus two semantic problems: the strongest
         # category (ParseError) is raised, carrying everything it found.

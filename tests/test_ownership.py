@@ -14,7 +14,8 @@ findings that move a decision away from its owner:
   numpy text or file parser in front would read some files on its own terms.
 - *families*: only ``solutions`` tells the two families apart (``_waves`` turns
   either into one wave list): no other module calls ``isinstance`` on one, and
-  only ``fileio`` (the ``[solution]`` parser) and ``__init__`` name one.
+  only ``__init__`` names one, to export it; ``fileio`` reads a ``[solution]``
+  section through the table ``solutions._FAMILIES``.
 - *solver*: ``scenario`` calls ``simulate`` once (``CONTROLS`` counts the one)
   and names no ``_solver_error``, a verify helper that would run the solver.
 - *syntax*: flags reach ``fileio.parse_config`` as ``(key, value)`` pairs, so
@@ -55,7 +56,7 @@ _PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "sqgkit"
 _STEPPING = {"_ifrk4_step", "_step_work", "_symbol"}
 _PARSERS = {"loadtxt", "genfromtxt", "fromstring", "fromfile"}
 _FAMILIES = {"EigenmodeSolution", "UnidirectionalSolution"}
-_NAMERS = {"solutions.py", "fileio.py", "__init__.py"}   # may name a family
+_NAMERS = {"solutions.py", "__init__.py"}   # may name a family
 _SYNTAX = {"_section_header", "_strip_comment"}
 _WRITERS = {"makedirs", "write_field_csv", "render_contour"}
 # A key, or a placeholder for one, then "=": the head of a config line.
@@ -212,11 +213,17 @@ PLANTED = [
     ("tiers", "fileio.py", "v = np.fromstring(text, sep=',')", ["<module> calls fromstring"]),
     ("tiers", "fileio.py", "def f(fh):\n    def g():\n        fromfile(fh)", ["g calls fromfile"]),
     ("tiers", "fileio.py", "def f(b):\n    return np.frombuffer(b) + loadtxt_count(b)", []),
-    ("families", "fileio.py", "isinstance(s, UnidirectionalSolution)", ["UnidirectionalSolution"]),
-    ("families", "fileio.py", "isinstance(s, _sol.EigenmodeSolution)", ["EigenmodeSolution"]),
-    ("families", "fileio.py", "isinstance(s, (int, EigenmodeSolution))", ["EigenmodeSolution"]),
+    # fileio may neither test for a family nor name one: each is a finding
+    ("families", "fileio.py", "isinstance(s, UnidirectionalSolution)",
+     ["UnidirectionalSolution"] * 2),
+    ("families", "fileio.py", "isinstance(s, _sol.EigenmodeSolution)", ["EigenmodeSolution"] * 2),
+    ("families", "fileio.py", "isinstance(s, (int, EigenmodeSolution))", ["EigenmodeSolution"] * 2),
+    ("families", "__init__.py", "isinstance(s, EigenmodeSolution)", ["EigenmodeSolution"]),
     ("families", "fileio.py", "isinstance(s, Solution)", []),
     ("families", "cli.py", "from .solutions import EigenmodeSolution as E", ["EigenmodeSolution"]),
+    ("families", "fileio.py", "sol = EigenmodeSolution(n=n, m=m, kappa=k, alpha=a)",
+     ["EigenmodeSolution"]),
+    ("families", "fileio.py", "sol = _FAMILIES[family](kappa=k, alpha=a, **values)", []),
     ("families", "cli.py", "x = UnidirectionalSolution_count", []),
     ("solver", "scenario.py", "t = verify._solver_error(s, f, p)", ["_solver_error"]),
     ("solver", "scenario.py", "traj = simulate(f, p)\nverify.simulate(f, p)", ["second simulate"]),

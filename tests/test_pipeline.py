@@ -2,6 +2,7 @@
 one grid parser, one CSV header reader, one rate rule, flags that reach
 ``parse_config`` as pairs, and key lists that name the key table's keys."""
 
+import dataclasses
 import pathlib
 import re
 
@@ -14,7 +15,8 @@ from sqgkit.fileio import (_TOP_KEYS, ScenarioConfig, parse_config, parse_grid, 
                            read_field_csv_time, render_contour)
 from sqgkit.integrator import SolverParams
 from sqgkit.scenario import run_builtin, run_scenario
-from sqgkit.solutions import EigenmodeSolution, builtin_samples, eval_theta, validate
+from sqgkit.solutions import (_FAMILIES, EigenmodeSolution, builtin_samples, eval_theta,
+                              validate)
 from sqgkit.spectral import GridSpec
 from sqgkit.verify import solver_vs_exact
 
@@ -128,12 +130,26 @@ class TestConfigKeys:
         assert calls == [("", list(zip(_TOP_KEYS, values)))]
 
     def test_the_docs_list_the_keys_in_table_order(self):
-        block = re.search(r"^Top-level keys.*::\n\n(.*?)\n\n", fileio.__doc__, re.M | re.S)[1]
+        block = re.search(r"^Top-level keys.*?::\n\n(.*?)\n\n", fileio.__doc__, re.M | re.S)[1]
         readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
         section = readme.read_text(encoding="utf-8").split("### Config files", 1)[1]
         rows = section.split("\n###", 1)[0]
         assert re.findall(r"^    ([a-z_]+)", block, re.M) == list(_TOP_KEYS)
         assert re.findall(r"^\| `([a-z_]+)` \|", rows, re.M) == list(_TOP_KEYS)
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_the_docs_list_each_familys_keys_in_field_order(self, family):
+        keys = [f.name for f in dataclasses.fields(_FAMILIES[family])
+                if f.name not in ("kappa", "alpha")]
+        block = re.search(r"^``\[solution\]`` keys.*?::\n\n(.*?)\n\n", fileio.__doc__,
+                          re.M | re.S)[1]
+        entry = re.search(rf"^    {family} +(.*?)(?=^    \w|\Z)", block, re.M | re.S)[1]
+        listed = re.sub(r"\([^)]*\)", "", " ".join(entry.split())).split(",")
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("### The `[solution]` section", 1)[1]
+        table = section.split(f"`family = {family}`", 1)[1].split("\n\n", 2)[1]
+        assert [key.strip() for key in listed] == keys
+        assert re.findall(r"^\| `(\w+)` \|", table, re.M) == keys
 
 
 class TestHugeWavenumber:

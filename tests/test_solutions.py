@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sqgkit.errors import InvalidSolution
+from sqgkit.errors import DomainError, InvalidSolution
 from sqgkit import solutions
 from sqgkit.solutions import (
     EigenmodeSolution,
@@ -345,6 +345,26 @@ class TestBuiltinSamples:
         assert_allclose(samples["con-3"].initial_field(grid32).values,
                         np.cos(2 * x) * np.cos(y) + np.sin(x) * np.sin(y)
                         + np.cos(2 * x) * np.sin(3 * y))
+
+
+_GRID16 = GridSpec(16, 16)
+# Each evaluator of a solution at a time t, as a function of (sol, t).
+_AT_TIME = {
+    "eval_theta": lambda sol, t: eval_theta(sol, t, _GRID16),
+    "eval_velocity": lambda sol, t: eval_velocity(sol, t, _GRID16),
+    "eval_dtheta_dt": lambda sol, t: eval_dtheta_dt(sol, t, _GRID16),
+    "theta_at": lambda sol, t: theta_at(sol, t, 0.5, 1.5),
+    "dtheta_dt_at": lambda sol, t: dtheta_dt_at(sol, t, 0.5, 1.5),
+    "residual": lambda sol, t: residual(sol, t, _GRID16),
+}
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("evaluator", sorted(_AT_TIME))
+def test_a_non_finite_time_is_a_domain_error(evaluator, t):
+    sol = builtin_samples()["theta1"].solution(0.001, 0.001)
+    with pytest.raises(DomainError, match=r"^t must be finite, got (nan|inf|-inf)$"):
+        _AT_TIME[evaluator](sol, t)
 
 
 class TestWithParameters:
