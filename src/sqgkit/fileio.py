@@ -383,6 +383,8 @@ def parse_config(text: str, overrides=()) -> ScenarioConfig:
     family = dict(entries["solution"]).get("family", (0, ""))[1].lower()
     sol_section = _known({"family", *_FAMILY_FIELDS.get(family, _SOLUTION_KEYS)},
                          entries["solution"], unknown, " in [solution]")
+    # The section's own issues go at the first entry of its first known key.
+    at = next((e[0] for k, e in entries["solution"] if k in sol_section), None)
     keys = {k: f for k, f in _FIELDS.items() if k != "solution" or not sol_section}
     values = _read_keys(keys, top, "config", syntax, semantic)   # a section's solution: below
 
@@ -395,11 +397,11 @@ def parse_config(text: str, overrides=()) -> ScenarioConfig:
     if {"kappa", "alpha"} & {key for key, _ in issues}:
         kappa = None   # reported here, so the [solution] section is not validated
     if sol_section and "solution" in top:
-        lineno = sol_section[next(iter(sol_section))][0]
-        semantic.append((lineno, "give either 'solution = <name>' or a [solution] "
-                                 "section, not both"))
+        semantic.append((at, "give either 'solution = <name>' or a [solution] "
+                             "section, not both"))
     elif sol_section and None not in (kappa, alpha):   # else reported at the top level
-        values["solution"] = _read_section(family, sol_section, kappa, alpha, syntax, semantic)
+        values["solution"] = _read_section(family, sol_section, at, kappa, alpha, syntax,
+                                           semantic)
     if not values.get("name"):
         values["name"] = "custom" if sol_section else values.get("solution", "")
 
@@ -430,9 +432,9 @@ def parse_grid(text: str) -> GridSpec:
     return GridSpec(*dims)
 
 
-def _read_section(family: str, section: dict, kappa, alpha, syntax, semantic):
-    """The solution a ``[solution]`` ``section`` (entries by key) defines, or None."""
-    lineno = section[next(iter(section))][0]   # for the issues of the whole section
+def _read_section(family: str, section: dict, lineno: int, kappa, alpha, syntax, semantic):
+    """The solution a ``[solution]`` ``section`` (entries by key) defines, or None;
+    an issue of the whole section goes at ``lineno``."""
     values = _read_keys(_FAMILY_FIELDS.get(family, _SHARED), section, lineno, syntax, semantic)
     if family not in _FAMILIES:
         semantic.append((lineno, f"family must be {' or '.join(_FAMILIES)}, got {family!r}"))

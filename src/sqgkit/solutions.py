@@ -286,17 +286,29 @@ def _rate(sol: Solution, p: int, q: int) -> float:
     return sol.kappa * float(p * p + q * q)**sol.alpha
 
 
-def _decay(rate: float, t: float) -> float:
-    """The weight ``e^(-rate t)``, exactly 1 at ``t = 0`` whatever the rate.
+def _finite_time(t: float) -> float:
+    """``t``, checked where it enters an evaluator: a solution with no wave
+    takes no decay weight, so :func:`_decay` cannot be the check.
 
     Raises:
-        DomainError: ``t`` is not finite, or the weight overflows a double, as
-            it does for a large negative ``t``.
+        DomainError: ``t`` is not finite (inf would give a zero weight, or
+            NaN at rate 0).
+    """
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
+    return t
+
+
+def _decay(rate: float, t: float) -> float:
+    """The weight ``e^(-rate t)`` at a finite ``t`` (:func:`_finite_time`),
+    exactly 1 at ``t = 0`` whatever the rate.
+
+    Raises:
+        DomainError: The weight overflows a double, as it does for a large
+            negative ``t``.
     """
     if not t:
         return 1.0
-    if not math.isfinite(t):   # inf would give a zero weight, or NaN at rate 0
-        raise DomainError(f"t must be finite, got {t!r}")
     try:
         weight = math.exp(-rate * t)
     except OverflowError:
@@ -447,13 +459,13 @@ def _dtheta_dt_at(sol: Solution, t: float, x, y):
 def theta_at(sol: Solution, t: float, x, y):
     """Evaluate θ at arbitrary points (validates first).  Arrays broadcast."""
     _require_valid(sol)
-    return _theta_at(sol, t, x, y)
+    return _theta_at(sol, _finite_time(t), x, y)
 
 
 def dtheta_dt_at(sol: Solution, t: float, x, y):
     """Evaluate the closed-form time derivative at arbitrary points."""
     _require_valid(sol)
-    return _dtheta_dt_at(sol, t, x, y)
+    return _dtheta_dt_at(sol, _finite_time(t), x, y)
 
 
 # --------------------------------------------------------------------------
@@ -533,7 +545,7 @@ def eval_theta(sol: Solution, t: float, grid: GridSpec) -> PhysicalField:
             overflows (a large negative ``t``).
     """
     _require_valid(sol)
-    return PhysicalField._owning(grid, _on_grid(sol, t, grid))
+    return PhysicalField._owning(grid, _on_grid(sol, _finite_time(t), grid))
 
 
 def eval_velocity(sol: Solution, t: float, grid: GridSpec) -> tuple[PhysicalField, PhysicalField]:
@@ -549,7 +561,7 @@ def eval_velocity(sol: Solution, t: float, grid: GridSpec) -> tuple[PhysicalFiel
         DomainError: If ``t`` is not finite or a decay weight ``e^(-rate t)`` overflows.
     """
     _require_valid(sol)
-    u, v = _velocity_at(sol, t, *_node_axes(grid.n_x, grid.n_y))
+    u, v = _velocity_at(sol, _finite_time(t), *_node_axes(grid.n_x, grid.n_y))
     return PhysicalField._owning(grid, u), PhysicalField._owning(grid, v)
 
 
@@ -561,7 +573,7 @@ def eval_dtheta_dt(sol: Solution, t: float, grid: GridSpec) -> PhysicalField:
         DomainError: If ``t`` is not finite or a decay weight ``e^(-rate t)`` overflows.
     """
     _require_valid(sol)
-    return PhysicalField._owning(grid, _on_grid(sol, t, grid, d_dt=True))
+    return PhysicalField._owning(grid, _on_grid(sol, _finite_time(t), grid, d_dt=True))
 
 
 # --------------------------------------------------------------------------

@@ -24,16 +24,16 @@ has coefficients ``∓i/2`` at ``k_x = ±1``).
 Storage layouts
 ---------------
 The public :class:`SpectralField` and :meth:`GridSpec.wavenumbers` use the
-full ``(n_y, n_x)`` FFT order.  Internally (the solver, the residual and the
-advection term) a real field is stored as its half spectrum: the leading
-``n_x//2 + 1`` columns of that array, as ``rfft2`` returns them.  The last of
-those columns is the Nyquist column, and it keeps ``k_x = -n_x/2``.  The other
-half is the Hermitian mirror ``c(-k) = conj(c(k))``; it is rebuilt by exact
-mirroring where a full array is returned.  One cached table per grid holds the
-multipliers ``i·kx``, ``i·ky``, ``|k|^-1``, the 2/3 mask and ``|k|²``; an
-operator takes either layout by slicing that table to the columns it is given.
-In the half layout ``i·kx`` and ``i·ky`` are 0 at their Nyquist wavenumbers,
-which is what taking the real part of a full complex transform amounts to.
+full ``(n_y, n_x)`` FFT order.  Every operator works on the half spectrum: the
+leading ``n_x//2 + 1`` columns of that array, as ``rfft2`` returns them.  The
+last of those columns is the Nyquist column, and it keeps ``k_x = -n_x/2``.
+The other half is the Hermitian mirror ``c(-k) = conj(c(k))``; a public
+operator reads only the half of its input and rebuilds the other half of its
+result by exact mirroring.  One cached table per grid, in the half layout,
+holds the multipliers ``i·kx``, ``i·ky``, ``|k|^-1``, the 2/3 mask and
+``|k|²``, and a cut spectrum reads views of its leading columns.  ``i·kx``
+and ``i·ky`` are 0 at their Nyquist wavenumbers, which is what taking the
+real part of a full complex transform amounts to.
 
 Other modules read the half layout only through :func:`_mirror_sum`, a density
 summed over the full spectrum (the blowup bound ``sup|θ| <= Σ|c_k|``, the
@@ -109,10 +109,10 @@ def _node_mesh(n_x: int, n_y: int):
 
 
 class _Multipliers(NamedTuple):
-    """The Fourier multipliers of one grid, indexed like its coefficient arrays.
+    """The Fourier multipliers of one grid, indexed like its half-spectrum arrays.
 
     ``kx``, ``ikx`` are rows ``(1, cols)`` and ``ky``, ``iky`` columns
-    ``(n_y, 1)`` that broadcast against a coefficient array; the rest are full
+    ``(n_y, 1)`` that broadcast against a coefficient array; the rest are
     ``(n_y, cols)`` arrays.
     """
 
@@ -127,31 +127,26 @@ class _Multipliers(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _multipliers(n_x: int, n_y: int, cols: int) -> _Multipliers:
-    """The multiplier table for coefficient arrays with ``cols`` leading FFT columns.
+    """The multiplier table for coefficient arrays with ``cols`` leading half-spectrum columns.
 
-    The table is built once per grid in full FFT order (``cols = n_x``); the
-    half-spectrum table (``cols = n_x//2 + 1``) is views of its leading
-    columns, so its last column keeps ``kx = -n_x/2``.  One exception: in the
-    half spectrum a derivative ``i·k`` is 0 at its own Nyquist wavenumber
-    ``-n/2``.  That mode is its own mirror image, so its odd derivative has
-    no real part; the full complex path drops it when it takes the real part
-    of the inverse transform, and the half spectrum must drop it explicitly.
-    All arrays are read-only.
+    It is built once per grid for the whole half spectrum (``cols =
+    n_x//2 + 1``), whose last column keeps ``kx = -n_x/2``; the 2/3 rule's
+    cut is views of its leading columns.  A derivative ``i·k`` is 0 at its
+    own Nyquist wavenumber ``-n/2``: that mode is its own mirror image, so
+    its odd derivative has no real part (a full complex transform drops it
+    when it takes the real part of the inverse).  All arrays are read-only.
     """
-    if cols != n_x:
-        full = _multipliers(n_x, n_y, n_x)
-        half = full._replace(ikx=np.where(full.kx == -n_x / 2, 0j, full.ikx),
-                             iky=np.where(full.ky == -n_y / 2, 0j, full.iky))
-        table = _Multipliers(*(a[:, :cols] for a in half))
-    else:
-        kx = np.fft.fftfreq(n_x, 1.0 / n_x)[None, :]
-        ky = np.fft.fftfreq(n_y, 1.0 / n_y)[:, None]
-        k2 = kx * kx + ky * ky
-        inv_k = np.zeros_like(k2)
-        nz = k2 > 0.0
-        inv_k[nz] = k2[nz] ** -0.5
-        dealias = (np.abs(kx) <= n_x / 3.0) & (np.abs(ky) <= n_y / 3.0)
-        table = _Multipliers(kx, ky, 1j * kx, 1j * ky, inv_k, dealias, k2)
+    if cols != n_x // 2 + 1:
+        return _Multipliers(*(a[:, :cols] for a in _multipliers(n_x, n_y, n_x // 2 + 1)))
+    kx = np.fft.fftfreq(n_x, 1.0 / n_x)[None, :cols]
+    ky = np.fft.fftfreq(n_y, 1.0 / n_y)[:, None]
+    k2 = kx * kx + ky * ky
+    inv_k = np.zeros_like(k2)
+    nz = k2 > 0.0
+    inv_k[nz] = k2[nz] ** -0.5
+    dealias = (np.abs(kx) <= n_x / 3.0) & (np.abs(ky) <= n_y / 3.0)
+    table = _Multipliers(kx, ky, np.where(kx == -n_x / 2, 0j, 1j * kx),
+                         np.where(ky == -n_y / 2, 0j, 1j * ky), inv_k, dealias, k2)
     for a in table:
         a.setflags(write=False)
     return table
@@ -161,8 +156,9 @@ def _multipliers(n_x: int, n_y: int, cols: int) -> _Multipliers:
 def _frac_laplacian_multiplier(n_x: int, n_y: int, alpha: float):
     # numpy gives 0.0**0.0 == 1.0 and 0.0**alpha == 0.0 for alpha > 0, which is
     # exactly the zero-mode convention: (-Δ)^0 is the identity (mean included),
-    # (-Δ)^α annihilates the mean for α > 0.  Half spectrum only: the solver
-    # and the residual are its only readers.
+    # (-Δ)^α annihilates the mean for α > 0.  fractional_laplacian calls this
+    # uncached: entries cached before a residual build leave its arrays at the
+    # heap top, which malloc returns to the system and faults back each time.
     mult = _multipliers(n_x, n_y, n_x // 2 + 1).k2 ** alpha
     mult.setflags(write=False)
     return mult
@@ -212,8 +208,8 @@ class GridSpec:
 
     def wavenumbers(self):
         """Return read-only integer wavenumber meshes ``(KX, KY)`` in FFT order."""
-        table = _multipliers(self.n_x, self.n_y, self.n_x)
-        return (np.broadcast_to(table.kx, self.shape), np.broadcast_to(table.ky, self.shape))
+        kx, ky = (np.fft.fftfreq(n, 1.0 / n) for n in (self.n_x, self.n_y))
+        return np.broadcast_to(kx, self.shape), np.broadcast_to(ky[:, None], self.shape)
 
 
 @dataclass(frozen=True)
@@ -445,7 +441,8 @@ def fractional_laplacian(s: SpectralField, alpha: float) -> SpectralField:
 
     The zero mode is annihilated for ``alpha > 0`` and preserved for
     ``alpha = 0`` (the ``(-Δ)^0 = Id`` convention, so ``α = 0`` dissipation is
-    the plain damping ``κθ``).
+    the plain damping ``κθ``).  Only the half spectrum of ``s`` is read; the
+    result is its Hermitian completion.
 
     Args:
         s: Input field.
@@ -457,18 +454,21 @@ def fractional_laplacian(s: SpectralField, alpha: float) -> SpectralField:
     alpha = float(alpha)
     if not (0.0 <= alpha < 1.0):
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
-    mult = _multipliers(s.grid.n_x, s.grid.n_y, s.grid.n_x).k2 ** alpha
-    return SpectralField(s.grid, mult * s.coefficients)
+    grid = s.grid
+    mult = _frac_laplacian_multiplier.__wrapped__(grid.n_x, grid.n_y, alpha)
+    return SpectralField(grid, _full_spectrum(mult * _half_spectrum(s.coefficients, grid), grid))
 
 
 def inv_sqrt_laplacian(s: SpectralField) -> SpectralField:
     """Apply ``(-Δ)^(-1/2)``: multiply by ``(kx² + ky²)^(-1/2)``, zero mode → 0.
 
     This is the Riesz stream-function map; the zero mode is sent to 0 so the
-    stream function is always mean-free.
+    stream function is always mean-free.  Only the half spectrum of ``s`` is
+    read; the result is its Hermitian completion.
     """
-    mult = _multipliers(s.grid.n_x, s.grid.n_y, s.grid.n_x).inv_k
-    return SpectralField(s.grid, mult * s.coefficients)
+    grid = s.grid
+    mult = _multipliers(grid.n_x, grid.n_y, grid.n_x // 2 + 1).inv_k
+    return SpectralField(grid, _full_spectrum(mult * _half_spectrum(s.coefficients, grid), grid))
 
 
 # --------------------------------------------------------------------------
@@ -524,7 +524,7 @@ def velocity_from_theta(s: SpectralField) -> tuple[SpectralField, SpectralField]
 
 def _velocity_hats(coef: np.ndarray, grid: GridSpec, out: tuple | None = None,
                    table: _Multipliers | _Workspace | None = None):
-    """Coefficients of ``(u, v)`` for the given θ coefficients, in either layout.
+    """Coefficients of ``(u, v)`` for a half spectrum of θ, or its leading columns.
 
     ``out``, if given, is ``(ψ̂, û, v̂)``: C-contiguous arrays shaped like
     ``coef`` that receive the stream function and the velocity, so the call
@@ -654,26 +654,21 @@ def _advect(b: np.ndarray, grid: GridSpec, ws: _Workspace,
     return acc
 
 
-def _nonlinear_hat(coef: np.ndarray, grid: GridSpec, dealias: bool,
-                   out: np.ndarray | None = None,
-                   work: _Workspace | None = None) -> np.ndarray:
+def _nonlinear_hat(coef: np.ndarray, grid: GridSpec, dealias: bool, out: np.ndarray,
+                   work: _Workspace) -> np.ndarray:
     """Half-spectrum coefficients of u·∇θ for the half-spectrum θ coefficients ``coef``.
 
     Only the leading ``_advection_width(grid, dealias)`` columns of ``coef``
     are read, so ``coef`` may be cut to them, and only those columns of the
-    result can be nonzero.  Without ``out`` the result is a new half spectrum;
-    with it, the kept columns are written into the leading columns of
-    ``out``.  Every intermediate lives in ``work`` (a new :func:`_workspace`
-    without it), so a call given both makes no array.
+    result can be nonzero: they are written into the leading columns of
+    ``out`` (a half spectrum, or those columns of one), which is returned.
+    Every intermediate lives in the :func:`_workspace` ``work``, so a call
+    makes no array.
     """
     width = _advection_width(grid, dealias)
-    ws = _workspace(grid, dealias) if work is None else work
-    theta = _dealiased(coef, grid, ws.theta, ws.mask) if dealias else coef[:, :width]
-    _velocity_nodes(theta, grid, ws)
-    adv = _advect(theta, grid, ws)
-    if out is None:
-        out = np.zeros((grid.n_y, grid.n_x // 2 + 1), dtype=complex)
-    _to_cut_spectrum(adv, ws, out[:, :width])
+    theta = _dealiased(coef, grid, work.theta, work.mask) if dealias else coef[:, :width]
+    _velocity_nodes(theta, grid, work)
+    _to_cut_spectrum(_advect(theta, grid, work), work, out[:, :width])
     return out
 
 
@@ -690,5 +685,8 @@ def nonlinear_term(s: SpectralField, dealias: bool = True) -> SpectralField:
     result vanishes to round-off — the mechanism behind every quasi-stationary
     solution this package implements.
     """
-    half = _nonlinear_hat(_half_spectrum(s.coefficients, s.grid), s.grid, bool(dealias))
-    return SpectralField(s.grid, _full_spectrum(half, s.grid))
+    grid, dealias = s.grid, bool(dealias)
+    out = np.zeros((grid.n_y, grid.n_x // 2 + 1), dtype=complex)
+    _nonlinear_hat(_half_spectrum(s.coefficients, grid), grid, dealias, out,
+                   _workspace(grid, dealias))
+    return SpectralField(grid, _full_spectrum(out, grid))

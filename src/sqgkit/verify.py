@@ -182,7 +182,7 @@ class _Grams(NamedTuple):
         # Both checks are invariant under a positive scale of θ(t), so the
         # weights are taken relative to the slowest rate: e^(-r t) may
         # underflow, but the largest weight is 1.
-        low = min(self.rates, default=0.0)
+        t, low = _sol._finite_time(t), min(self.rates, default=0.0)
         return np.array([_sol._decay(rate - low, t) for rate in self.rates])
 
     def correlation(self, t: float) -> float:
@@ -269,7 +269,8 @@ def residual(sol, t: float, grid: GridSpec, kappa: float | None = None,
     """
     sol = _resolved(_sol.with_parameters(sol, kappa, alpha), grid)
     resid, work = np.empty(grid.shape), np.empty(grid.shape)
-    nonlinear_linf = _residual_into(_residual_terms(sol, grid), t, resid, work, nonlinear=True)
+    nonlinear_linf = _residual_into(_residual_terms(sol, grid), _sol._finite_time(t), resid,
+                                    work, nonlinear=True)
     l_inf = float(np.max(np.abs(resid, out=work)))
     with np.errstate(over="ignore"):
         l2 = float(np.sqrt(np.sum(np.square(resid, out=work)) * grid.cell_area))
@@ -291,7 +292,7 @@ def _residual_linf(sol, times, grid: GridSpec) -> list[float]:
     resid, work = np.empty(grid.shape), np.empty(grid.shape)
     linf = []
     for t in times:
-        _residual_into(terms, t, resid, work)
+        _residual_into(terms, _sol._finite_time(t), resid, work)
         linf.append(float(np.max(np.abs(resid, out=work))))
     return linf
 

@@ -38,7 +38,8 @@ from sqgkit import solutions
 from sqgkit.fileio import _check_levels, _colormap_lut
 from sqgkit.solutions import EigenmodeSolution, UnidirectionalSolution
 from sqgkit.spectral import (_frac_laplacian_multiplier, _multipliers, _nonlinear_hat,
-                             _split_bits, _to_coefficients, _to_values, _velocity_hats)
+                             _split_bits, _to_coefficients, _to_values, _velocity_hats,
+                             _workspace)
 
 
 class TrigPoly:
@@ -154,7 +155,7 @@ def direct_residual(sol, t, grid, kappa=None, alpha=None):
     theta = solutions._on_grid(sol, t, grid)
     dtheta_dt = solutions._on_grid(sol, t, grid, d_dt=True)
     coef = _to_coefficients(theta, grid)
-    nonlin_hat = _nonlinear_hat(coef, grid, dealias=True)
+    nonlin_hat = _nonlinear_hat(coef, grid, True, np.zeros_like(coef), _workspace(grid, True))
     dissip_hat = sol.kappa * _frac_laplacian_multiplier(grid.n_x, grid.n_y, sol.alpha) * coef
     resid = dtheta_dt + _to_values(nonlin_hat + dissip_hat, grid)
     return (float(np.max(np.abs(resid))),

@@ -187,6 +187,20 @@ class TestParseConfig:
             parse_config("kappa = 0.001\nalpha = 0.4\ngrid = 64\nt_end = 0\n[solution]\n" + lines)
         assert exc.value.issues == issues
 
+    @pytest.mark.parametrize("lines, error, issue", [
+        ("family = eigenmode\nn = 1\nc1 = 1\nfamily = eigenmode\n",
+         ParseError, "missing required key: m"),
+        ("family = circle\nn = 1\nm = 1\nfamily = circle\n",
+         ConstraintViolation, "family must be eigenmode or unidirectional, got 'circle'"),
+        ("n = 1\nfamily = eigenmode\nm = 1\nk = 1\nc1 = 1\nc6 = 1\nn = 1\n",
+         ConstraintViolation, "invalid solution: constraint n^2+m^2 = k^2 violated: 2 != 1"),
+    ])
+    def test_a_section_issue_is_at_its_first_keys_first_entry(self, lines, error, issue):
+        # The section's first key is given again on its last line.
+        with pytest.raises(error) as exc:
+            parse_config("kappa = 0.001\nalpha = 0.4\ngrid = 64\nt_end = 0\n[solution]\n" + lines)
+        assert exc.value.issues == [(6, issue)]
+
     def test_all_issues_are_collected(self):
         # One malformed line plus two semantic problems: the strongest
         # category (ParseError) is raised, carrying everything it found.

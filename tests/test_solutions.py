@@ -18,6 +18,7 @@ from sqgkit.solutions import (
     validate,
     with_parameters,
 )
+from sqgkit import verify
 from sqgkit.verify import residual
 from sqgkit.spectral import GridSpec, forward_transform, inverse_transform, velocity_from_theta
 
@@ -356,15 +357,20 @@ _AT_TIME = {
     "theta_at": lambda sol, t: theta_at(sol, t, 0.5, 1.5),
     "dtheta_dt_at": lambda sol, t: dtheta_dt_at(sol, t, 0.5, 1.5),
     "residual": lambda sol, t: residual(sol, t, _GRID16),
+    "_residual_linf": lambda sol, t: verify._residual_linf(sol, [0.0, t], _GRID16),
+    "_Grams.correlation": lambda sol, t: verify._grams(sol, _GRID16).correlation(t),
 }
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("evaluator", sorted(_AT_TIME))
 def test_a_non_finite_time_is_a_domain_error(evaluator, t):
-    sol = builtin_samples()["theta1"].solution(0.001, 0.001)
-    with pytest.raises(DomainError, match=r"^t must be finite, got (nan|inf|-inf)$"):
-        _AT_TIME[evaluator](sol, t)
+    # theta1, and two solutions with no wave at all, which take no decay weight.
+    for sol in (builtin_samples()["theta1"].solution(0.001, 0.001),
+                EigenmodeSolution(n=1, m=1, kappa=0.1, alpha=0.5),
+                UnidirectionalSolution(n=1, m=1, kappa=0.1, alpha=0.5, modes=((1, 0.0, 0.0),))):
+        with pytest.raises(DomainError, match=r"^t must be finite, got (nan|inf|-inf)$"):
+            _AT_TIME[evaluator](sol, t)
 
 
 class TestWithParameters:

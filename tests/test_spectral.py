@@ -328,6 +328,75 @@ class TestHalfSpectrumCore:
         assert np.array_equal(_half_spectrum(full, g).view(np.uint64), half.view(np.uint64))
 
 
+_DIAGONAL_GRIDS = [(8, 8), (32, 32), (48, 32), (64, 128), (256, 256)]
+_DIAGONAL_FIELDS = {
+    "random": lambda g, x, y: np.random.default_rng(g.size).standard_normal(g.shape),
+    "single-wave": lambda g, x, y: np.sin(3 * x + 2 * y),
+    "con-1": lambda g, x, y: np.sin(x) * np.sin(y) + np.cos(y),
+    "mean-only": lambda g, x, y: np.full(g.shape, 1.5),
+}
+
+
+def _full_table_diagonal(s, alpha):
+    """``fractional_laplacian`` (or, for ``alpha`` None, ``inv_sqrt_laplacian``)
+    as a full FFT-order table times the whole coefficient array."""
+    kx, ky = s.grid.wavenumbers()
+    k2 = kx * kx + ky * ky
+    if alpha is not None:
+        return k2 ** alpha * s.coefficients
+    inv_k = np.zeros_like(k2)
+    inv_k[k2 > 0.0] = k2[k2 > 0.0] ** -0.5
+    return inv_k * s.coefficients
+
+
+class TestDiagonalOperatorsReadTheHalf:
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.99, None])
+    @pytest.mark.parametrize("field", sorted(_DIAGONAL_FIELDS))
+    @pytest.mark.parametrize("nx,ny", _DIAGONAL_GRIDS)
+    def test_matches_the_full_table_formula(self, nx, ny, field, alpha):
+        # Equal as values; bit for bit on the kept half; in the mirrored
+        # columns at most the sign of a zero differs, because the mirror is
+        # the exact conjugate of the kept half.
+        g = GridSpec(nx, ny)
+        s = forward_transform(PhysicalField.from_function(
+            g, lambda x, y: _DIAGONAL_FIELDS[field](g, x, y)))
+        out = (inv_sqrt_laplacian(s) if alpha is None
+               else fractional_laplacian(s, alpha)).coefficients
+        want = _full_table_diagonal(s, alpha)
+        assert np.array_equal(out, want)
+        kept = nx // 2 + 1
+        bits, want_bits = out.view(np.uint64), want.view(np.uint64)
+        assert np.array_equal(bits[:, :2 * kept], want_bits[:, :2 * kept])
+        differ = bits != want_bits
+        assert np.all((bits ^ want_bits)[differ] == np.uint64(1 << 63))
+        assert np.all(out.view(np.float64)[differ] == 0.0)
+
+    def test_a_public_call_caches_no_multiplier(self):
+        # The solver's cache is filled by the solver and the residual only:
+        # entries built ahead of them make the residual builds page-fault.
+        g = GridSpec(16, 16)
+        before = _frac_laplacian_multiplier.cache_info()
+        fractional_laplacian(SpectralField.zeros(g), 0.123)
+        assert _frac_laplacian_multiplier.cache_info() == before
+
+    @pytest.mark.parametrize("apply", [lambda s: fractional_laplacian(s, 0.5),
+                                       inv_sqrt_laplacian], ids=["frac", "inv_sqrt"])
+    def test_a_coefficient_outside_the_half_is_not_read(self, apply):
+        # A SpectralField whose halves disagree gets the Hermitian completion
+        # of its half: kx = -3 lies in the mirrored half only.
+        g = GridSpec(16, 16)
+        mult = apply(SpectralField(g, np.ones(g.shape))).coefficient(3, 2).real
+        s = SpectralField.zeros(g)
+        s.coefficients[2, -3] = 1 + 2j
+        assert not np.any(apply(s).coefficients)
+        s = SpectralField.zeros(g)
+        s.coefficients[2, 3] = 1 + 2j
+        out = apply(s)
+        assert out.coefficient(3, 2) == mult * (1 + 2j)
+        assert out.coefficient(-3, -2) == mult * (1 - 2j)
+        assert np.count_nonzero(out.coefficients) == 2
+
+
 class TestVelocityIsHermitian:
     # The odd derivatives of a real field have no real part on the ky = -n_y/2
     # row and the kx = -n_x/2 column, so the velocity must vanish there for
