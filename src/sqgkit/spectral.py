@@ -31,9 +31,11 @@ The other half is the Hermitian mirror ``c(-k) = conj(c(k))``; a public
 operator reads only the half of its input and rebuilds the other half of its
 result by exact mirroring.  One cached table per grid, in the half layout,
 holds the multipliers ``i·kx``, ``i·ky``, ``|k|^-1``, the 2/3 mask and
-``|k|²``, and a cut spectrum reads views of its leading columns.  ``i·kx``
-and ``i·ky`` are 0 at their Nyquist wavenumbers, which is what taking the
-real part of a full complex transform amounts to.
+``|k|²``, and a cut spectrum reads views of its leading columns.  The
+multiplier of ``(-Δ)^α`` is not kept, since α is continuous: it is built
+from ``|k|²`` for each use.  ``i·kx`` and ``i·ky`` are 0 at their Nyquist
+wavenumbers, which is what taking the real part of a full complex transform
+amounts to.
 
 Other modules read the half layout only through :func:`_mirror_sum`, a density
 summed over the full spectrum (the blowup bound ``sup|θ| <= Σ|c_k|``, the
@@ -152,16 +154,16 @@ def _multipliers(n_x: int, n_y: int, cols: int) -> _Multipliers:
     return table
 
 
-@lru_cache(maxsize=32)
-def _frac_laplacian_multiplier(n_x: int, n_y: int, alpha: float):
-    # numpy gives 0.0**0.0 == 1.0 and 0.0**alpha == 0.0 for alpha > 0, which is
-    # exactly the zero-mode convention: (-Δ)^0 is the identity (mean included),
-    # (-Δ)^α annihilates the mean for α > 0.  fractional_laplacian calls this
-    # uncached: entries cached before a residual build leave its arrays at the
-    # heap top, which malloc returns to the system and faults back each time.
-    mult = _multipliers(n_x, n_y, n_x // 2 + 1).k2 ** alpha
-    mult.setflags(write=False)
-    return mult
+def _frac_laplacian_multiplier(n_x: int, n_y: int, alpha: float) -> np.ndarray:
+    """The half-spectrum multiplier ``(kx² + ky²)^α`` of ``(-Δ)^α``, as a new array.
+
+    numpy gives ``0.0**0.0 == 1.0`` and ``0.0**α == 0.0`` for ``α > 0``, which
+    is exactly the zero-mode convention: ``(-Δ)^0`` is the identity (mean
+    included), ``(-Δ)^α`` annihilates the mean for ``α > 0``.  Nothing keeps
+    it: α is continuous, and each caller builds it once per use (a march, a
+    residual build, a public call) for 0.14 ms at 256² and 0.04 ms at 128².
+    """
+    return _multipliers(n_x, n_y, n_x // 2 + 1).k2 ** alpha
 
 
 @dataclass(frozen=True)
@@ -442,7 +444,8 @@ def fractional_laplacian(s: SpectralField, alpha: float) -> SpectralField:
     The zero mode is annihilated for ``alpha > 0`` and preserved for
     ``alpha = 0`` (the ``(-Δ)^0 = Id`` convention, so ``α = 0`` dissipation is
     the plain damping ``κθ``).  Only the half spectrum of ``s`` is read; the
-    result is its Hermitian completion.
+    result is its Hermitian completion.  Each call builds the multiplier
+    anew, from the grid's cached ``|k|²``, as the solver and the residual do.
 
     Args:
         s: Input field.
@@ -455,7 +458,7 @@ def fractional_laplacian(s: SpectralField, alpha: float) -> SpectralField:
     if not (0.0 <= alpha < 1.0):
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
     grid = s.grid
-    mult = _frac_laplacian_multiplier.__wrapped__(grid.n_x, grid.n_y, alpha)
+    mult = _frac_laplacian_multiplier(grid.n_x, grid.n_y, alpha)
     return SpectralField(grid, _full_spectrum(mult * _half_spectrum(s.coefficients, grid), grid))
 
 
@@ -616,13 +619,17 @@ def _to_cut_spectrum(values: np.ndarray, ws: _Workspace, out: np.ndarray) -> np.
     times ``ws.mask`` if the workspace has one, written into ``out``.
 
     The x-pass writes the whole half spectrum into ``ws.half``; the y-pass
-    runs over the kept columns only, then the others are reset to 0.  These
-    are ``rfft2``'s passes, so the kept columns carry its bits.
+    runs over the kept columns only, then the others are reset to 0, also
+    when a pass raises (a floating-point error under ``np.errstate`` or
+    warnings as errors is raised after the pass has written).  These are
+    ``rfft2``'s passes, so the kept columns carry its bits.
     """
     width = out.shape[-1]
-    np.fft.rfft(values, axis=1, norm="forward", out=ws.half)
-    np.fft.fft(ws.half[:, :width], axis=0, norm="forward", out=out)
-    ws.half[:, width:] = 0.0
+    try:
+        np.fft.rfft(values, axis=1, norm="forward", out=ws.half)
+        np.fft.fft(ws.half[:, :width], axis=0, norm="forward", out=out)
+    finally:
+        ws.half[:, width:] = 0.0
     if ws.mask is not None:
         np.multiply(out, ws.mask, out=out)
     return out

@@ -1,5 +1,6 @@
 """The advection kernel's transforms as explicit 1-D passes through its
-workspace: the pass buffer's dropped columns stay zero, the expanded
+workspace: the pass buffer's dropped columns stay zero, also when a pass
+raises, the residual builds on a grid share one kept workspace, the expanded
 multipliers belong to one workspace, a warm kernel call makes no node array,
 and the step and the residual terms keep the bits of the kernel that
 inverted each cut spectrum by ``irfft2`` into a new array."""
@@ -16,7 +17,7 @@ from sqgkit import integrator, solutions, verify
 from sqgkit.errors import StabilityWarning
 from sqgkit.solutions import EigenmodeSolution, UnidirectionalSolution, builtin_samples
 from sqgkit.spectral import (GridSpec, PhysicalField, _advection_width, _multipliers,
-                             _nonlinear_hat, _to_coefficients, _workspace)
+                             _nonlinear_hat, _to_coefficients, _to_cut_spectrum, _workspace)
 
 DATA = ["con-1", "con-2", "con-3"]
 
@@ -71,8 +72,30 @@ class TestPassBuffer:
 
     @pytest.mark.parametrize("shape", [(64, 64), (48, 32)])
     @pytest.mark.parametrize("name", sorted(SOLUTIONS))
-    def test_dropped_columns_are_zero_after_a_residual_build(self, name, shape, monkeypatch):
+    def test_dropped_columns_are_zero_after_a_residual_build(self, name, shape):
+        # The kept workspace, after this build and after another solution's
+        # build on the same grid, which reuses it.
         grid = GridSpec(*shape)
+        second = SOLUTIONS["theta3" if name == "theta1" else "theta1"]
+        for sol in (SOLUTIONS[name], second):
+            solutions._GRID_DATA.clear()
+            verify._residual_terms(sol, grid)
+            _dropped_columns_are_zero(verify._kernel_workspace(grid), grid)
+        solutions._GRID_DATA.clear()
+
+    def test_a_raising_pass_leaves_the_dropped_columns_zero(self):
+        # A floating-point error is raised after the pass has written them.
+        grid = GridSpec(32, 32)
+        ws = _workspace(grid, True)
+        values = np.zeros(grid.shape)
+        values[:, :2] = (np.inf, -np.inf)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            _to_cut_spectrum(values, ws, ws.theta)
+        _dropped_columns_are_zero(ws, grid)
+
+
+class TestKeptWorkspace:
+    def test_builds_on_one_grid_share_one_workspace(self, monkeypatch):
         made = []
 
         def workspace(*args):
@@ -80,11 +103,23 @@ class TestPassBuffer:
             return made[-1]
 
         monkeypatch.setattr(verify, "_workspace", workspace)
-        solutions._GRID_DATA.clear()
-        verify._residual_terms(SOLUTIONS[name], grid)
-        solutions._GRID_DATA.clear()
-        assert len(made) == 1
-        _dropped_columns_are_zero(made[0], grid)
+        verify._kernel_workspace.cache_clear()
+        grid, other = GridSpec(64, 64), GridSpec(48, 32)
+        try:
+            for sol in (SOLUTIONS["theta1"], SOLUTIONS["uni-3-rates"]):
+                solutions._GRID_DATA.clear()
+                linear, advection = verify._residual_terms(sol, grid)
+                # No kept term is an array of the workspace the next build writes.
+                assert not any(np.shares_memory(term, array) for _, term in linear + advection
+                               for array in made[0] if array is not None)
+            assert made[0] is verify._kernel_workspace(grid) and len(made) == 1
+            solutions._GRID_DATA.clear()
+            verify._residual_terms(SOLUTIONS["theta1"], other)
+            assert made[1] is verify._kernel_workspace(other) and len(made) == 2
+            assert verify._kernel_workspace.cache_info().currsize == 1
+        finally:
+            solutions._GRID_DATA.clear()
+            verify._kernel_workspace.cache_clear()
 
 
 class TestMultipliers:

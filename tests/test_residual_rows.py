@@ -4,16 +4,20 @@ The pass validates once, fetches the cached terms once and sums each time
 into one buffer by the summation of ``verify.residual``, so each row is bit
 for bit the ``l_inf`` that ``residual`` returns, its errors are the ones
 ``residual`` raises, and its cost and memory do not grow with the times but
-by one sum per time.
+by one sum per time.  An amplitude near the overflow threshold gives finite
+rows.
 """
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from sqgkit import scenario, solutions, verify
+from sqgkit.cli import main
 from sqgkit.errors import DomainError, InvalidSolution, UnderResolved
 from sqgkit.fileio import parse_config
 from sqgkit.solutions import EigenmodeSolution, UnidirectionalSolution, builtin_samples
@@ -145,3 +149,32 @@ def test_the_rows_pass_peak_does_not_grow_with_the_times():
             tracemalloc.stop()
     # Two fields are the sum buffer and its work array; 21 floats are no field.
     assert 2 * grid.size * 8 <= peaks[0] and peaks[1] - peaks[0] < grid.size * 8 // 8
+
+
+_HUGE = {
+    "eigenmode": (EigenmodeSolution(n=2, m=1, k=5, kappa=0.01, alpha=0.5, c1=1e160),
+                  "family = eigenmode\nn = 2\nm = 1\nk = 5\nc1 = 1e160\n"),
+    "unidirectional": (UnidirectionalSolution(n=1, m=1, kappa=0.01, alpha=0.5,
+                                              modes=((1, 1e160, 0.0), (2, 1e160, 0.0))),
+                       "family = unidirectional\nn = 1\nm = 1\nmodes = 1:1e160:0, 2:1e160:0\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HUGE))
+def test_amplitudes_near_the_overflow_threshold_give_finite_rows(name, tmp_path, capsys):
+    # The kernel's products of 1e160 amplitudes overflowed and the rows were
+    # NaN; each pattern now enters the kernel scaled by a power of two.
+    sol, section = _HUGE[name]
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"outdir = {tmp_path / 'out'}\nkappa = 0.01\nalpha = 0.5\ngrid = 16\n"
+                   f"t_end = 1\ndt = 0.1\nmode = exact\noutputs = report\n[solution]\n"
+                   + section)
+    solutions._GRID_DATA.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        linf = verify._residual_linf(sol, [0, 1], GridSpec(16, 16))
+        assert main(["scenario", str(cfg)]) == 1   # round-off of 1e320 fails the gate
+    rows = [row.split(",") for row in (tmp_path / "out" / "report.csv").read_text().splitlines()]
+    values = [float(row[3]) for row in rows if row[0] == "residual_linf"]
+    assert values == linf and all(1e300 < v < math.inf for v in values)
+    assert "error" not in capsys.readouterr().err

@@ -371,14 +371,6 @@ class TestDiagonalOperatorsReadTheHalf:
         assert np.all((bits ^ want_bits)[differ] == np.uint64(1 << 63))
         assert np.all(out.view(np.float64)[differ] == 0.0)
 
-    def test_a_public_call_caches_no_multiplier(self):
-        # The solver's cache is filled by the solver and the residual only:
-        # entries built ahead of them make the residual builds page-fault.
-        g = GridSpec(16, 16)
-        before = _frac_laplacian_multiplier.cache_info()
-        fractional_laplacian(SpectralField.zeros(g), 0.123)
-        assert _frac_laplacian_multiplier.cache_info() == before
-
     @pytest.mark.parametrize("apply", [lambda s: fractional_laplacian(s, 0.5),
                                        inv_sqrt_laplacian], ids=["frac", "inv_sqrt"])
     def test_a_coefficient_outside_the_half_is_not_read(self, apply):

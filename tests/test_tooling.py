@@ -1,8 +1,10 @@
-"""Checks that the benchmark's tracer still matches the package it wraps."""
+"""Checks that the benchmark's tracer still matches the package it wraps, and
+that its exact-check ops leave no state behind that moves a later op's report."""
 
 import importlib
 import importlib.util
 import pathlib
+import sys
 
 import numpy as np
 
@@ -12,6 +14,7 @@ from sqgkit.solutions import builtin_samples
 from sqgkit.spectral import GridSpec
 
 _TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+_WORKLOADS = _TRACING.with_name("workloads.py")
 
 
 def _tracing():
@@ -53,3 +56,35 @@ def test_tracer_counts_the_solver_transforms():
     assert counts["steps"] == 3
     assert counts["fft_calls"] > 0 and counts["fft_in_integrator"] > 0
     assert counts["fft_in_integrator"] >= 20 * counts["steps"]
+
+
+def test_exact_check_ops_leave_no_state_that_moves_a_report(tmp_path, monkeypatch):
+    # The tiny seed-1 exact-check pool, run twice in one process and once
+    # more with the one-entry pattern cache and the kept kernel workspace
+    # cleared before each op: every op writes the same report, byte for byte.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for mod in (sqgkit, sqgkit.integrator, sqgkit.scenario, sqgkit.verify):
+        if hasattr(mod, "simulate"):   # the runner wraps it; undone after the test
+            monkeypatch.setattr(mod, "simulate", mod.simulate)
+    runner = workloads.Runner(sqgkit, "exact-check")
+    pool = workloads.make_inputs("exact-check", 1, tiny=True)
+    monkeypatch.chdir(tmp_path)
+
+    def replay(cold):
+        reports = []
+        for entry in pool:
+            if cold:
+                sqgkit.solutions._GRID_DATA.clear()
+                sqgkit.verify._kernel_workspace.cache_clear()
+            runner.clear()
+            assert runner.gate(entry, runner.op(entry)) == []
+            reports.append((tmp_path / "op" / "report.csv").read_bytes())
+        return reports
+
+    first = replay(cold=False)
+    assert len(first) == len(pool) == 12
+    assert replay(cold=False) == first
+    assert replay(cold=True) == first
