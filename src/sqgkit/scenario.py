@@ -212,8 +212,13 @@ def _run(config: ScenarioConfig) -> tuple[list, list]:
             checks.append(CheckResult("validation_rejected", name, None, float(rejected),
                                       ">=1", rejected >= 1))
 
-    # 2. The one march; a blowup raises here, before anything is written.
-    traj = None if params is None else simulate(initial, params)
+    # 2. The one march; a blowup raises here, before anything is written.  The
+    # residual rows are done, so their kept kernel workspace is released first:
+    # the march builds its own.
+    traj = None
+    if params is not None:
+        verify._kernel_workspace.cache_clear()
+        traj = simulate(initial, params)
 
     # 3. One pass over the times.  ``mode = simulate`` writes the march's
     # records (at t_end = 0 the initial field alone), the others the closed

@@ -14,10 +14,10 @@ residual is factorised: its linear part is Σ_r e^(-r t) L_r and its bilinear
 advection term Σ_{i<=j} e^(-(r_i + r_j) t) N_ij.  Every ``L_r`` and ``N_ij``
 goes through the spectral operators once per (solution, grid); after the
 first time a residual is one weighted sum into a buffer and its norms, with
-no FFT.  The builds on one grid share one kept advection workspace, and each
-pattern enters the advection kernel scaled by a power of two, so the
-residual of an amplitude near the overflow threshold is finite.  The
-``residual_linf`` rows of a run are one such pass (``_residual_linf``): one
+no FFT.  The builds of one thread on one grid share one kept advection
+workspace, and each pattern enters the advection kernel scaled by a power
+of two, so the residual of an amplitude near the overflow threshold is
+finite.  The ``residual_linf`` rows of a run are one such pass (``_residual_linf``): one
 validation and one sum buffer for all its times, and the sup norm alone at
 each.
 The same factorisation makes the pattern-correlation and off-ray checks of
@@ -31,6 +31,7 @@ change", and solver-versus-exact error tracking.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -91,9 +92,14 @@ def max_mode(sol) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=1)
-def _kernel_workspace(grid: GridSpec) -> _Workspace:
-    """The advection kernel's workspace of the grid of the last residual build."""
-    return _workspace(grid, True)
+def _kernel_workspace(grid: GridSpec, thread: int) -> _Workspace:
+    """The advection kernel's workspace of the last residual build, if that
+    ran on ``grid`` in the thread ``thread`` (``threading.get_ident()``);
+    else a new one, kept in its place.
+
+    It has no ``product`` array: every pair sum of a build gets its own.
+    """
+    return _workspace(grid, True)._replace(product=None)
 
 
 def _exponent(coef: np.ndarray) -> int:
@@ -133,10 +139,11 @@ def _residual_terms(sol, grid: GridSpec) -> tuple[tuple, tuple]:
     normal.  The scaling reads each spectrum twice and each term once:
     about 0.2 ms of the 21 ms 256² build of θ3 (two patterns, three pairs).
 
-    One build runs at a time, as the one-entry pattern cache already
-    requires, so every build on a grid uses the kernel workspace kept for it
-    (``_kernel_workspace``): 5.4 MB at 256² and about 21.7 MB at 512².  A
-    build on another grid replaces it.
+    Every build on a grid uses the kernel workspace kept for it
+    (``_kernel_workspace``): 4.9 MB at 256² and about 19.6 MB at 512².  A
+    build on another grid replaces it, and so does a build in another
+    thread: the FFTs write the workspace without the GIL, so two threads
+    never share one.
     """
     entry = _sol._grid_data(sol, grid.n_x, grid.n_y)
     terms = entry.get("residual")
@@ -150,7 +157,7 @@ def _residual_terms(sol, grid: GridSpec) -> tuple[tuple, tuple]:
         exps = [_exponent(coef) for coef in coefs]
         for coef, e in zip(coefs, exps):
             np.ldexp(coef.view(np.float64), -e, out=coef.view(np.float64))
-        ws = _kernel_workspace(grid)
+        ws = _kernel_workspace(grid, threading.get_ident())
         sums: dict[tuple[int, int], np.ndarray] = {}
         for i, coef_i in enumerate(coefs):
             _velocity_nodes(_dealiased(coef_i, grid, ws.theta, ws.mask), grid, ws)

@@ -1,10 +1,13 @@
 """The advection kernel's transforms as explicit 1-D passes through its
 workspace: the pass buffer's dropped columns stay zero, also when a pass
-raises, the residual builds on a grid share one kept workspace, the expanded
-multipliers belong to one workspace, a warm kernel call makes no node array,
-and the step and the residual terms keep the bits of the kernel that
-inverted each cut spectrum by ``irfft2`` into a new array."""
+raises, the residual builds of a thread on a grid share one kept workspace,
+and a march runs without it, the expanded multipliers belong to one
+workspace, a warm kernel call makes no node array, and the step and the
+residual terms keep the bits of the kernel that inverted each cut spectrum
+by ``irfft2`` into a new array."""
 
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -13,8 +16,10 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from oracles import reference_ifrk4_step, reference_residual_terms
-from sqgkit import integrator, solutions, verify
+from sqgkit import integrator, scenario, solutions, verify
+from sqgkit.cli import main
 from sqgkit.errors import StabilityWarning
+from sqgkit.integrator import simulate
 from sqgkit.solutions import EigenmodeSolution, UnidirectionalSolution, builtin_samples
 from sqgkit.spectral import (GridSpec, PhysicalField, _advection_width, _multipliers,
                              _nonlinear_hat, _to_coefficients, _to_cut_spectrum, _workspace)
@@ -34,6 +39,10 @@ SOLUTIONS = {
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _kept(grid):
+    return verify._kernel_workspace(grid, threading.get_ident())
 
 
 def _factors(grid, dt, kappa=0.001, alpha=0.4):
@@ -80,7 +89,7 @@ class TestPassBuffer:
         for sol in (SOLUTIONS[name], second):
             solutions._GRID_DATA.clear()
             verify._residual_terms(sol, grid)
-            _dropped_columns_are_zero(verify._kernel_workspace(grid), grid)
+            _dropped_columns_are_zero(_kept(grid), grid)
         solutions._GRID_DATA.clear()
 
     def test_a_raising_pass_leaves_the_dropped_columns_zero(self):
@@ -112,14 +121,78 @@ class TestKeptWorkspace:
                 # No kept term is an array of the workspace the next build writes.
                 assert not any(np.shares_memory(term, array) for _, term in linear + advection
                                for array in made[0] if array is not None)
-            assert made[0] is verify._kernel_workspace(grid) and len(made) == 1
+            kept = _kept(grid)
+            assert kept.theta is made[0].theta and len(made) == 1
+            assert kept.product is None   # every pair sum gets its own
             solutions._GRID_DATA.clear()
             verify._residual_terms(SOLUTIONS["theta1"], other)
-            assert made[1] is verify._kernel_workspace(other) and len(made) == 2
+            assert _kept(other).theta is made[1].theta and len(made) == 2
             assert verify._kernel_workspace.cache_info().currsize == 1
         finally:
             solutions._GRID_DATA.clear()
             verify._kernel_workspace.cache_clear()
+
+    def test_concurrent_builds_on_one_grid_keep_their_terms(self):
+        # The FFTs write the kept workspace without the GIL, so a build in
+        # one thread must not use the workspace kept by another's.
+        grid = GridSpec(64, 64)
+        names = sorted(SOLUTIONS)
+
+        def terms(name):
+            solutions._GRID_DATA.clear()
+            linear, advection = verify._residual_terms(SOLUTIONS[name], grid)
+            return [term.copy() for _, term in linear + advection]
+
+        want = {name: terms(name) for name in names}
+        wrong = dict.fromkeys(names, 0)
+
+        def run(name):
+            try:
+                for _ in range(10):
+                    # Another thread's build has most likely replaced the
+                    # one-entry pattern cache, so this builds again.
+                    linear, advection = verify._residual_terms(SOLUTIONS[name], grid)
+                    got = [term for _, term in linear + advection]
+                    wrong[name] += not (len(got) == len(want[name]) and all(
+                        np.array_equal(a, b) for a, b in zip(got, want[name])))
+            except Exception:   # a thread's exception would otherwise pass unseen
+                wrong[name] = -1
+
+        threads = [threading.Thread(target=run, args=(name,)) for name in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            solutions._GRID_DATA.clear()
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == dict.fromkeys(names, 0)
+
+    def test_a_march_runs_without_the_kept_workspace(self, tmp_path, monkeypatch):
+        # mode = both builds the residual rows, then marches: the march's own
+        # workspace does not sit beside the kept one.
+        kept = []
+
+        def march(*args, **kwargs):
+            kept.append(verify._kernel_workspace.cache_info().currsize)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "simulate", march)
+        cfg = tmp_path / "both.cfg"
+        cfg.write_text(f"outdir = {tmp_path / 'out'}\nsolution = theta1\nkappa = 0.01\n"
+                       "alpha = 0.5\ngrid = 16\nt_end = 0.02\ndt = 0.01\nmode = both\n"
+                       "outputs = report\n")
+        solutions._GRID_DATA.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StabilityWarning)
+            assert main(["scenario", str(cfg)]) == 0
+        assert kept == [0]
+        assert [row.split(",")[0] for row in (tmp_path / "out" / "report.csv").read_text()
+                .splitlines()].count("residual_linf") == 2
 
 
 class TestMultipliers:
