@@ -99,7 +99,9 @@ __all__ = [
 ]
 
 MAX_LEVELS = 4096   # contour bands; the colour table is built one band at a time
-_CSV_BLOCK_VALUES = 2048   # values formatted per write, about 200 bytes each meanwhile
+# Values formatted per write.  Formatting holds 194-210 bytes per value (normal
+# to 600-decade magnitudes), so a block peaks at about 0.86 MB.
+_CSV_BLOCK_VALUES = 4096
 _RENDER_BLOCK_VALUES = 1 << 15   # pixels rendered per write, about 19 bytes each meanwhile
 
 _OUTPUT_KINDS = ("csv", "ppm", "report")

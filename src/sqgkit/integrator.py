@@ -146,8 +146,11 @@ def _symbol(grid: GridSpec, kappa: float, alpha: float) -> np.ndarray:
 class _StepWork(NamedTuple):
     """Work arrays of IFRK4 steps on one grid, built once per run.
 
-    The stage terms, the stage input and the real scratch are
-    ``(n_y, _advection_width)``.
+    Each is an ``(n_y, _advection_width)`` complex array.  ``c``, ``he`` and
+    ``fe`` take a step's input and decay factors on those columns, so every
+    operand of a step's arithmetic is C-contiguous and complex: numpy copies
+    a strided or real operand of a ufunc into a buffer of up to 8192 values,
+    all of a stage array at 128².
     """
 
     advection: _Workspace
@@ -156,13 +159,15 @@ class _StepWork(NamedTuple):
     n3: np.ndarray
     n4: np.ndarray
     x: np.ndarray
-    two_he: np.ndarray
+    c: np.ndarray
+    he: np.ndarray
+    fe: np.ndarray
 
 
 def _step_work(grid: GridSpec, dealias: bool) -> _StepWork:
     shape = (grid.n_y, _advection_width(grid, dealias))
-    stages = [np.empty(shape, dtype=complex) for _ in range(5)]
-    return _StepWork(_workspace(grid, dealias), *stages, np.empty(shape))
+    return _StepWork(_workspace(grid, dealias),
+                     *(np.empty(shape, dtype=complex) for _ in range(8)))
 
 
 def _ifrk4_step(c: np.ndarray, h: float, half_e: np.ndarray, full_e: np.ndarray,
@@ -178,11 +183,14 @@ def _ifrk4_step(c: np.ndarray, h: float, half_e: np.ndarray, full_e: np.ndarray,
         n1 = -N(c),  n2 = -N(E½(c + h/2 n1)),  n3 = -N(E½c + h/2 n2),
         n4 = -N(E c + h E½ n3),  E c + h/6 (E n1 + 2E½ (n2 + n3) + n4)
 
-    performs, in the same order, so the result is the same bit for bit.
+    performs, in the same order, so the result is the same bit for bit: a
+    real factor enters a product as the complex value numpy casts it to.
     """
     width = _advection_width(grid, dealias)
-    ws, n1, n2, n3, n4, x, two_he = work
-    cw, he, fe = c[:, :width], half_e[:, :width], full_e[:, :width]
+    ws, n1, n2, n3, n4, x, cw, he, fe = work
+    np.copyto(cw, c[:, :width])
+    np.copyto(he, half_e[:, :width])
+    np.copyto(fe, full_e[:, :width])
 
     def stage(theta, n):   # n = -N(theta)
         _nonlinear_hat(theta, grid, dealias, n, ws)
@@ -198,15 +206,19 @@ def _ifrk4_step(c: np.ndarray, h: float, half_e: np.ndarray, full_e: np.ndarray,
     np.multiply(fe, cw, out=x)
     np.multiply(he, n3, out=n4)
     stage(np.add(x, np.multiply(h, n4, out=n4), out=x), n4)
-    # E n1 + 2E½ (n2 + n3) + n4, summed into n1.
+    # E n1 + 2E½ (n2 + n3) + n4, summed into n1; E½ + E½ is 2.0·E½ exactly.
     np.multiply(fe, n1, out=n1)
     np.add(n2, n3, out=n2)
-    np.multiply(np.multiply(2.0, he, out=two_he), n2, out=n2)
+    np.multiply(np.add(he, he, out=n3), n2, out=n2)
     np.add(n1, n2, out=n1)
     np.add(n1, n4, out=n1)
     np.multiply(h / 6.0, n1, out=n1)
-    result = np.multiply(full_e, c)
-    np.add(result[:, :width], n1, out=result[:, :width])
+    result = np.empty(c.shape, dtype=complex)
+    np.copyto(result, full_e)
+    np.multiply(result, c, out=result)
+    # E c + the sum on the stage columns, added in contiguous x.
+    np.copyto(x, result[:, :width])
+    result[:, :width] = np.add(x, n1, out=x)
     return result
 
 

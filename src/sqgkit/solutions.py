@@ -365,11 +365,16 @@ def _wave_sum(waves, x, y) -> np.ndarray:
     faster per value than one that broadcasts a row or a column.  So the
     call holds the sum and 768 KiB.  Any other ``x`` and ``y`` that broadcast
     take the same steps, the tables of an operand that spans the first axis
-    made per block, and every value has the bits it has on the grid.
+    made per block, and every value has the bits it has on the grid.  An
+    operand axis of stride 0, as in the meshes of ``GridSpec.nodes()``,
+    repeats one slice and is read as that slice, so a mesh costs what a row
+    and a column do.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = np.zeros(np.broadcast(x, y).shape)
+    x, y = (v[tuple(slice(None, 1) if stride == 0 else slice(None) for stride in v.strides)]
+            for v in (x, y))
     acc = out.reshape(out.shape or (1,))   # a view with a first axis to block over
     x = x.reshape((1,) * (acc.ndim - x.ndim) + x.shape)
     y = y.reshape((1,) * (acc.ndim - y.ndim) + y.shape)

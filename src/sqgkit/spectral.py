@@ -50,12 +50,13 @@ One kernel forms every dealiased product ``u(a)·∇b`` at the nodes:
 array.  The solver's term is ``a = b = θ`` (:func:`_nonlinear_hat`); the
 residual keeps one velocity per pattern and advects every pattern with it.
 With the 2/3 rule on, spectra are cut to the ``n_x//3 + 1`` columns it keeps.
-Each 2-D transform of the kernel is two explicit 1-D passes through the
-workspace's half spectrum, whose columns past the cut are kept zero
-(:func:`_to_nodes`, :func:`_to_cut_spectrum`): the y-passes run over the kept
-columns only, and the x-passes write straight into the workspace's node or
-spectrum arrays.  Each pass gets the input and scaling it gets inside
-``irfft2``/``rfft2``, so the bits are theirs.  Every spectrum, node array
+Every 2-D transform is two explicit 1-D passes through a half spectrum whose
+columns past the cut are kept zero (:func:`_to_nodes`,
+:func:`_to_cut_spectrum`): the y-passes run over the kept columns only, and
+the x-passes write straight into the given node or spectrum array.  Each
+pass gets the input and scaling it gets inside ``irfft2``/``rfft2``, so the
+bits are theirs.  The kernel's passes go through its workspace's half
+spectrum, a one-off transform's through a new one.  Every spectrum, node array
 and multiplier (expanded to the cut's shape, the 2/3 mask as complex 1 and
 0) lives in a :class:`_Workspace`, which a solver run builds once, so a
 kernel call makes no array; only numpy's ufunc buffer for a strided operand
@@ -365,25 +366,19 @@ def _to_values(coef: np.ndarray, grid: GridSpec) -> np.ndarray:
 
     For one-off inversions: a record, the blowup guard, the CFL check, a
     residual term.  ``coef`` may hold only leading columns of the half
-    spectrum (``irfft2`` takes the missing ones as 0), but numpy's ``irfft``
-    is slow on such a short input and ``irfft2`` drops its ``out``, so the
-    advection kernel inverts with :func:`_to_nodes` instead.
+    spectrum; the passes of :func:`_to_nodes` run through a new zeroed one.
     """
-    return np.fft.irfft2(coef, s=grid.shape, norm="forward")
+    half = np.zeros((grid.n_y, grid.n_x // 2 + 1), dtype=complex)
+    return _to_nodes(coef, half, np.empty(grid.shape))
 
 
 def _to_coefficients(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Internal forward transform of real values to a new half spectrum.
 
-    The new half spectrum is passed to ``rfft2`` as ``out``: given none,
-    numpy's ``rfft2`` runs its axis-0 pass out of place, into one more new
-    array.  The bits are the same; at 256² the traced peak halves (1.0 to
-    0.5 MiB) and the median time goes from 0.66 to 0.58 ms (2 vCPUs, numpy
-    2.4.6).  The advection kernel transforms into its workspace with
-    :func:`_to_cut_spectrum` instead.
+    The passes of :func:`_to_cut_spectrum` run through the new array itself.
     """
-    out = np.empty((grid.n_y, grid.n_x // 2 + 1), dtype=complex)
-    return np.fft.rfft2(values, s=grid.shape, norm="forward", out=out)
+    half = np.empty((grid.n_y, grid.n_x // 2 + 1), dtype=complex)
+    return _to_cut_spectrum(values, half, half)
 
 
 def _half_spectrum(coef: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -601,62 +596,63 @@ def _workspace(grid: GridSpec, dealias: bool) -> _Workspace:
                       expanded(table.inv_k), mask)
 
 
-def _to_nodes(cut: np.ndarray, grid: GridSpec, ws: _Workspace, out: np.ndarray) -> np.ndarray:
+def _to_nodes(cut: np.ndarray, half: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Node values of the cut half spectrum ``cut``, written into ``out``.
 
-    The y-pass runs over the kept columns, into ``ws.half``, whose other
-    columns are 0; the x-pass inverts that whole half spectrum into ``out``.
-    ``irfft2`` makes the same two passes, with the short input padded by
-    ``irfft``, so the bits are the same.
+    ``half`` is a whole half spectrum whose columns past the cut are 0.  The
+    y-pass runs over the kept columns, into ``half``; the x-pass inverts
+    that whole half spectrum into ``out``.  ``irfft2`` makes the same two
+    passes, with the short input padded by ``irfft``, so the bits are the
+    same.
     """
-    width = cut.shape[-1]
-    np.fft.ifft(cut, axis=0, norm="forward", out=ws.half[:, :width])
-    return np.fft.irfft(ws.half, n=grid.n_x, axis=1, norm="forward", out=out)
+    np.fft.ifft(cut, axis=0, norm="forward", out=half[:, :cut.shape[-1]])
+    return np.fft.irfft(half, n=out.shape[-1], axis=1, norm="forward", out=out)
 
 
-def _to_cut_spectrum(values: np.ndarray, ws: _Workspace, out: np.ndarray) -> np.ndarray:
+def _to_cut_spectrum(values: np.ndarray, half: np.ndarray, out: np.ndarray,
+                     mask: np.ndarray | None = None) -> np.ndarray:
     """The leading ``out.shape[-1]`` columns of the half spectrum of ``values``,
-    times ``ws.mask`` if the workspace has one, written into ``out``.
+    times ``mask`` if given, written into ``out``.
 
-    The x-pass writes the whole half spectrum into ``ws.half``; the y-pass
-    runs over the kept columns only, then the others are reset to 0, also
-    when a pass raises (a floating-point error under ``np.errstate`` or
-    warnings as errors is raised after the pass has written).  These are
-    ``rfft2``'s passes, so the kept columns carry its bits.
+    The x-pass writes the whole half spectrum into ``half``; the y-pass runs
+    over the kept columns only, then the others are reset to 0, also when a
+    pass raises (a floating-point error under ``np.errstate`` or warnings as
+    errors is raised after the pass has written).  ``out`` may be ``half``
+    itself.  These are ``rfft2``'s passes, so the kept columns carry its
+    bits.
     """
     width = out.shape[-1]
     try:
-        np.fft.rfft(values, axis=1, norm="forward", out=ws.half)
-        np.fft.fft(ws.half[:, :width], axis=0, norm="forward", out=out)
+        np.fft.rfft(values, axis=1, norm="forward", out=half)
+        np.fft.fft(half[:, :width], axis=0, norm="forward", out=out)
     finally:
-        ws.half[:, width:] = 0.0
-    if ws.mask is not None:
-        np.multiply(out, ws.mask, out=out)
+        half[:, width:] = 0.0
+    if mask is not None:
+        np.multiply(out, mask, out=out)
     return out
 
 
 def _velocity_nodes(a: np.ndarray, grid: GridSpec, ws: _Workspace) -> None:
     """Write the node values of ``u(a)`` and ``v(a)`` into ``ws`` for a cut spectrum ``a``."""
     u_hat, v_hat = _velocity_hats(a, grid, out=(ws.psi, ws.u, ws.v), table=ws)
-    _to_nodes(u_hat, grid, ws, ws.u_nodes)
-    _to_nodes(v_hat, grid, ws, ws.v_nodes)
+    _to_nodes(u_hat, ws.half, ws.u_nodes)
+    _to_nodes(v_hat, ws.half, ws.v_nodes)
 
 
-def _advect(b: np.ndarray, grid: GridSpec, ws: _Workspace,
-            acc: np.ndarray | None = None) -> np.ndarray:
+def _advect(b: np.ndarray, ws: _Workspace, acc: np.ndarray | None = None) -> np.ndarray:
     """Node values of ``u·∂x b + v·∂y b`` with the velocity of :func:`_velocity_nodes`.
 
     ``b`` is a spectrum cut like the velocity's.  Without ``acc`` the result
     is written into ``ws.product``; with it, ``u·∂x b`` and then ``v·∂y b``
     are added into ``acc`` in place.  Either way the array is returned.
     """
-    nodes = _to_nodes(np.multiply(b, ws.ikx, out=ws.psi), grid, ws,
+    nodes = _to_nodes(np.multiply(b, ws.ikx, out=ws.psi), ws.half,
                       ws.product if acc is None else ws.nodes)
     if acc is None:
         acc = np.multiply(ws.u_nodes, nodes, out=nodes)
     else:
         acc += np.multiply(ws.u_nodes, nodes, out=nodes)
-    nodes = _to_nodes(np.multiply(b, ws.iky, out=ws.psi), grid, ws, ws.nodes)
+    nodes = _to_nodes(np.multiply(b, ws.iky, out=ws.psi), ws.half, ws.nodes)
     acc += np.multiply(ws.v_nodes, nodes, out=nodes)
     return acc
 
@@ -675,7 +671,7 @@ def _nonlinear_hat(coef: np.ndarray, grid: GridSpec, dealias: bool, out: np.ndar
     width = _advection_width(grid, dealias)
     theta = _dealiased(coef, grid, work.theta, work.mask) if dealias else coef[:, :width]
     _velocity_nodes(theta, grid, work)
-    _to_cut_spectrum(_advect(theta, grid, work), work, out[:, :width])
+    _to_cut_spectrum(_advect(theta, work), work.half, out[:, :width], work.mask)
     return out
 
 

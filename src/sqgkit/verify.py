@@ -165,15 +165,15 @@ def _residual_terms(sol, grid: GridSpec) -> tuple[tuple, tuple]:
                 b = _dealiased(coef_j, grid, ws.theta, ws.mask)
                 pair = (min(i, j), max(i, j))
                 if pair in sums:
-                    _advect(b, grid, ws, acc=sums[pair])
+                    _advect(b, ws, acc=sums[pair])
                 else:   # each sum is written into a product array of its own
-                    sums[pair] = _advect(b, grid, ws._replace(product=np.empty(grid.shape)))
+                    sums[pair] = _advect(b, ws._replace(product=np.empty(grid.shape)))
         del coefs
         advection = []
         for (i, j), total in sums.items():
             # The term overwrites its sum, which the forward transform has read.
-            _to_cut_spectrum(total, ws, ws.theta)
-            term = _to_nodes(ws.theta, grid, ws, total)
+            _to_cut_spectrum(total, ws.half, ws.theta, ws.mask)
+            term = _to_nodes(ws.theta, ws.half, total)
             advection.append((patterns[i][0] + patterns[j][0],
                               np.ldexp(term, exps[i] + exps[j], out=term)))
         for _, term in linear + advection:

@@ -1,12 +1,11 @@
 """A log of ``numpy.fft`` calls, folded into the 2-D transforms they make.
 
-The package transforms a field in one of two ways: one ``rfft2``/``irfft2``
-call, or, in the advection kernel, two explicit 1-D passes.  An inverse is a
-complex y-pass (``ifft`` on axis 0) over leading half-spectrum columns, then
-the real x-pass ``irfft`` on axis 1; a forward transform is ``rfft`` on axis
-1, then ``fft`` on axis 0.  :func:`transforms` turns a log into one
-``"inverse"`` or ``"forward"`` per 2-D transform and fails on any other call
-pattern, so a silent fallback to full complex transforms shows up.
+The package makes every 2-D transform as two explicit 1-D passes.  An
+inverse is a complex y-pass (``ifft`` on axis 0) over leading half-spectrum
+columns, then the real x-pass ``irfft`` on axis 1; a forward transform is
+``rfft`` on axis 1, then ``fft`` on axis 0.  :func:`transforms` turns a log
+into one ``"inverse"`` or ``"forward"`` per 2-D transform and fails on any
+other call pattern, so a silent fallback to full complex transforms shows up.
 """
 
 import numpy as np
@@ -49,8 +48,8 @@ def transforms(calls, grid) -> list:
 
     Asserts the pass rules on the way: every y-pass reads at most
     ``n_x//2 + 1`` columns and is paired with its real x-pass, no complex
-    pass reads a full ``(n_y, n_x)`` array, and no complex 2-D or n-D
-    transform is called.
+    pass reads a full ``(n_y, n_x)`` array, and no 2-D or n-D transform is
+    called.
     """
     half = grid.n_x // 2 + 1
     out, i = [], 0
@@ -58,10 +57,6 @@ def transforms(calls, grid) -> list:
         call = calls[i]
         assert not (call.complex and call.shape == grid.shape and call.name in ("fft", "ifft")), \
             f"a 1-D pass over a full complex array: {call}"
-        if call.name in ("rfft2", "irfft2"):
-            out.append("forward" if call.name == "rfft2" else "inverse")
-            i += 1
-            continue
         pair = calls[i:i + 2]
         names = [c.name for c in pair]
         if names == ["ifft", "irfft"]:

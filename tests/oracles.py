@@ -17,7 +17,7 @@ complex spectrum, the residual assembled afresh at each time, and the
 residual's terms built on the whole half spectrum.  The allocating IFRK4 step
 and advection term that the workspace-based ones replaced are kept too, as
 the bit-identity reference of the solver, and so are the residual's terms
-built with the kernel whose every inverse ``irfft2`` returned a new array.
+built with the kernel whose every inverse returned a new array.
 
 The plane-wave sum with trigonometry at every point, which the sum from
 1-D trig tables replaced, is kept as the reference of ``_wave_sum``.
@@ -218,8 +218,9 @@ def full_width_residual_terms(sol, grid):
 
 def reference_residual_terms(sol, grid):
     """``(linear, advection)`` as ``verify._residual_terms`` gives them, built on
-    the 2/3 rule's cut with the advection kernel that each inverse ``irfft2``
-    of a cut spectrum returns as a new node array, and the sum's ``rfft2``.
+    the 2/3 rule's cut with the advection kernel that each inverse of a cut
+    spectrum returns as a new node array (``_to_values``), and the sum's
+    forward transform.
 
     Each velocity is inverted once, each ordered pair ``(i, j)`` adds
     ``u_i·∂x P_j`` and then ``v_i·∂y P_j`` into the sum of its unordered pair,

@@ -30,7 +30,7 @@ def _pair(seed):
 def _kernel(a, b, grid, dealias):
     ws = _workspace(grid, dealias)
     _velocity_nodes(a, grid, ws)
-    return _advect(b, grid, ws).copy()
+    return _advect(b, ws).copy()
 
 
 @pytest.mark.parametrize("dealias", [True, False])
@@ -66,10 +66,10 @@ def test_accumulating_path_is_the_hand_written_sum_bit_for_bit(shape, dealias):
     ws = _workspace(grid, dealias)
     _velocity_nodes(a, grid, ws)
     u, v = ws.u_nodes.copy(), ws.v_nodes.copy()
-    written = _advect(b, grid, ws).copy()
+    written = _advect(b, ws).copy()
     acc = np.random.default_rng(3).standard_normal(grid.shape)
     by_hand = acc.copy()
-    assert _advect(b, grid, ws, acc=acc) is acc
+    assert _advect(b, ws, acc=acc) is acc
     by_hand += u * _to_values(b * table.ikx, grid)
     by_hand += v * _to_values(b * table.iky, grid)
     assert_array_equal(acc.view(np.uint64), by_hand.view(np.uint64))

@@ -243,9 +243,9 @@ class TestBlowupGuard:
 
 
 class TestTransformBudget:
-    # Every transform is a real 2-D one: an rfft2/irfft2 call, or in the
-    # advection kernel a real x-pass paired with a complex y-pass over at most
-    # n_x//2 + 1 columns (``fft_passes.transforms`` checks the pairs).
+    # Every transform is a real 2-D one: a real x-pass paired with a complex
+    # y-pass over at most n_x//2 + 1 columns (``fft_passes.transforms``
+    # checks the pairs).
     def test_solver_uses_only_real_transforms(self, grid32, monkeypatch):
         # A silent fallback to full complex transforms would still pass every
         # accuracy test; count the calls instead.
@@ -269,7 +269,7 @@ class TestTransformBudget:
         params = SolverParams(kappa=0.001, alpha=0.4, dt=0.002, t_end=0.01,
                               snapshot_times=(0.005,))
         traj = simulate(initial, params)
-        assert {c.name for c in calls} == {"rfft2", "irfft2", "rfft", "irfft", "fft", "ifft"}
+        assert {c.name for c in calls} == {"rfft", "irfft", "fft", "ifft"}
         assert per_step == [(16, 4)] * 6          # 2 full + 1 short step per segment
         # One forward transform of the datum, then per snapshot one inverse for
         # the record and two for the CFL check; the guard adds none.

@@ -4,7 +4,8 @@ raises, the residual builds of a thread on a grid share one kept workspace,
 and a march runs without it, the expanded multipliers belong to one
 workspace, a warm kernel call makes no node array, and the step and the
 residual terms keep the bits of the kernel that inverted each cut spectrum
-by ``irfft2`` into a new array."""
+into a new array.  The one-off transforms make the same passes and keep the
+bits of numpy's ``irfft2`` and ``rfft2``."""
 
 import sys
 import threading
@@ -22,7 +23,8 @@ from sqgkit.errors import StabilityWarning
 from sqgkit.integrator import simulate
 from sqgkit.solutions import EigenmodeSolution, UnidirectionalSolution, builtin_samples
 from sqgkit.spectral import (GridSpec, PhysicalField, _advection_width, _multipliers,
-                             _nonlinear_hat, _to_coefficients, _to_cut_spectrum, _workspace)
+                             _nonlinear_hat, _to_coefficients, _to_cut_spectrum, _to_values,
+                             _workspace)
 
 DATA = ["con-1", "con-2", "con-3"]
 
@@ -99,7 +101,7 @@ class TestPassBuffer:
         values = np.zeros(grid.shape)
         values[:, :2] = (np.inf, -np.inf)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-            _to_cut_spectrum(values, ws, ws.theta)
+            _to_cut_spectrum(values, ws.half, ws.theta, ws.mask)
         _dropped_columns_are_zero(ws, grid)
 
 
@@ -283,3 +285,42 @@ class TestBitIdentity:
                                                       ref_linear + ref_advection):
             assert rate == ref_rate
             assert_array_equal(_bits(term), _bits(ref_term))
+
+
+class TestOneOffTransforms:
+    # ``_to_values`` and ``_to_coefficients`` make the kernel's passes through a
+    # new half spectrum; numpy's own 2-D transforms are the oracle.  So every
+    # reference above that is built from them carries numpy's bits too.
+    SHAPES = [(16, 16), (32, 16), (64, 64), (256, 256), (512, 512)]
+
+    @staticmethod
+    def _wide(grid, seed):
+        """Random real values twice the grid's extent along each axis."""
+        return np.random.default_rng(seed).standard_normal((2 * grid.n_y, 2 * grid.n_x))
+
+    @pytest.mark.parametrize("kind", ["full", "cut", "strided"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_forward_is_rfft2_bit_for_bit(self, shape, kind):
+        grid = GridSpec(*shape)
+        wide = self._wide(grid, 1)
+        values = {"full": wide[:grid.n_y, :grid.n_x].copy(),     # C-contiguous
+                  "cut": wide[:grid.n_y, :grid.n_x],             # rows strided
+                  "strided": wide[::2, ::2]}[kind]
+        want = np.fft.rfft2(values, s=grid.shape, norm="forward")
+        got = _to_coefficients(values, grid)
+        assert got.shape == (grid.n_y, grid.n_x // 2 + 1)
+        assert_array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("kind", ["full", "cut", "strided"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_inverse_is_irfft2_bit_for_bit(self, shape, kind):
+        grid = GridSpec(*shape)
+        full = np.fft.fft2(self._wide(grid, 2)[:grid.n_y, :grid.n_x], norm="forward")
+        half = full[:, :grid.n_x // 2 + 1]
+        coef = {"full": half.copy(),
+                "cut": half[:, :grid.n_x // 3 + 1].copy(),   # irfft2 pads the rest with 0
+                "strided": half}[kind]                        # a view of the full spectrum
+        want = np.fft.irfft2(coef, s=grid.shape, norm="forward")
+        got = _to_values(coef, grid)
+        assert got.shape == grid.shape
+        assert_array_equal(_bits(got), _bits(want))

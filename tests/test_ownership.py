@@ -32,6 +32,10 @@ findings that move a decision away from its owner:
 - *exits*: only ``cli.main`` turns a rejection into exit 2 or 3, from a typed
   error, so every such exit prints the same prefix: no other ``cli`` function
   returns the literal 2 or 3 (``CONTROLS`` counts the two in ``main``).
+- *transforms*: every 2-D transform is ``spectral``'s pair of 1-D passes
+  (``_to_nodes``, ``_to_cut_spectrum``), so the bits and the transform count
+  of each come from one place: no module calls a numpy 2-D or n-D transform
+  (``CONTROLS`` sees the two passes of ``_to_nodes``).
 - *values*: only ``fileio``'s readers turn a command-line value's text into a
   value, so every subcommand reads it as a config file's value is read and an
   error names the flag: ``cli`` makes no ``float`` call and passes no
@@ -59,6 +63,9 @@ _FAMILIES = {"EigenmodeSolution", "UnidirectionalSolution"}
 _NAMERS = {"solutions.py", "__init__.py"}   # may name a family
 _SYNTAX = {"_section_header", "_strip_comment"}
 _WRITERS = {"makedirs", "write_field_csv", "render_contour"}
+_PASSES = {"fft", "ifft", "rfft", "irfft"}
+_ND_TRANSFORMS = {f"{kind}{dims}" for kind in ("fft", "ifft", "rfft", "irfft")
+                  for dims in ("2", "n")}
 # A key, or a placeholder for one, then "=": the head of a config line.
 _CONFIG_LINE = re.compile(r"\s*(\{\}|%s)\s*=" % "|".join(sorted({*_TOP_KEYS, *_SOLUTION_KEYS})))
 
@@ -180,6 +187,9 @@ RULES = {
     "exits": lambda module, found: [] if module != "cli.py" else [
         (line, f"{caller} returns {what}") for line, kind, what, caller in found
         if kind == "return" and what in (2, 3) and caller != "main"],
+    "transforms": lambda module, found: [
+        (line, f"{caller} calls {what}") for line, kind, what, caller in found
+        if kind == "call" and what in _ND_TRANSFORMS],
     "values": lambda module, found: [] if module != "cli.py" else [
         (line, f"{caller} calls {what}") for line, kind, what, caller in found
         if (kind, what) in (("call", "float"), ("keyword", "add_argument(type=)"))],
@@ -257,6 +267,15 @@ PLANTED = [
     ("exits", "cli.py", "def _cmd_eval(a):\n    return 2", ["_cmd_eval returns 2"]),
     ("exits", "cli.py", "def main(a):\n    return 3", []),
     ("exits", "cli.py", "def _cmd_verify(a):\n    return 1", []),
+    ("transforms", "spectral.py", 'v = np.fft.irfft2(c, s=g.shape, norm="forward")',
+     ["<module> calls irfft2"]),
+    ("transforms", "verify.py", "def f(v):\n    return numpy.fft.rfftn(v)", ["f calls rfftn"]),
+    ("transforms", "integrator.py", "from numpy.fft import fft2\ndef f(v):\n    return fft2(v)",
+     ["f calls fft2"]),
+    ("transforms", "solutions.py", "c = np.fft.ifftn(np.fft.fft2(v))",
+     ["<module> calls ifftn", "<module> calls fft2"]),
+    ("transforms", "spectral.py", 'v = np.fft.irfft(h, n=8, axis=1, norm="forward")', []),
+    ("transforms", "spectral.py", "x = np.fft.rfft2 if fft2_calls else rfftn_count(v)", []),
     ("values", "cli.py", 'p.add_argument("--kappa", type=float, default=0.001)',
      ["<module> calls add_argument(type=)"]),
     ("values", "cli.py", 'def _build_parser():\n    p.add_argument("--n", type=int)',
@@ -286,6 +305,8 @@ CONTROLS = {
                              and what.startswith("add_argument(") and caller == "_build_parser",
                              None),
     "fileio.py:_read_times": (lambda *finding: finding == ("call", "float", "_read_times"), 1),
+    "spectral.py:_to_nodes": (lambda kind, what, caller: kind == "call" and what in _PASSES
+                              and caller == "_to_nodes", 2),
 }
 
 

@@ -4,9 +4,10 @@
 ``q·y`` alone and restores the rounded phase of the direct sum with an exact
 TwoSum term.  It must stay within round-off of that direct sum (kept as
 ``tests/oracles.py`` ``reference_wave_sum``), give every point the bits it has
-on the grid, and build a pattern holding one full-grid array.  Also here: the
-forward transforms always get an ``out``, and a decay weight that overflows
-is a ``DomainError`` naming the time, exit code 2 on the command line.
+on the grid, read a node mesh as its row and column, and build a pattern
+holding one full-grid array.  Also here: the forward transforms always get
+an ``out``, and a decay weight that overflows is a ``DomainError`` naming
+the time, exit code 2 on the command line.
 """
 
 import subprocess
@@ -105,6 +106,31 @@ def test_point_evaluators_have_the_bits_of_the_grid_evaluators():
         assert np.array_equal(_bits(v_at), _bits(v.values))
 
 
+@pytest.mark.parametrize("n_x,n_y", [(64, 32), (256, 256)])
+def test_a_mesh_costs_what_a_row_and_a_column_do(n_x, n_y, monkeypatch):
+    # The meshes of GridSpec.nodes() repeat one row or column with a zero
+    # stride; each such axis is read as that slice, so no trig table spans
+    # the mesh and the values keep their bits.
+    sizes = []
+
+    def recording(make):
+        def call(k, v, *args):
+            sizes.append(np.size(v))
+            return make(k, v, *args)
+        return call
+
+    for name in ("_trig", "_amplitudes"):
+        monkeypatch.setattr(solutions, name, recording(getattr(solutions, name)))
+    grid = GridSpec(n_x, n_y)
+    X, Y = grid.nodes()
+    x, y = _node_axes(n_x, n_y)
+    for name in ("theta1", "theta2", "theta3"):
+        sol = solutions.builtin_samples()[name].solution(5e-3, 0.4)
+        for evaluate in (solutions.theta_at, solutions._velocity_at, solutions._dtheta_dt_at):
+            assert np.array_equal(_bits(evaluate(sol, 0.7, X, Y)), _bits(evaluate(sol, 0.7, x, y)))
+    assert sizes and max(sizes) <= max(n_x, n_y)
+
+
 @pytest.mark.parametrize("name", ["theta1", "theta2", "theta3"])
 def test_cold_pattern_build_holds_one_field(name):
     # At 512² a field is 2 MiB.  The direct sum held three while it built a
@@ -123,20 +149,23 @@ def test_cold_pattern_build_holds_one_field(name):
     assert peak <= 3 * 2**20 + field * (len(patterns) - 1)
 
 
-def _record_rfft2(monkeypatch):
+def _record_forward_passes(monkeypatch):
+    """Whether each forward pass (``rfft``, then ``fft``) got an ``out``, in call order."""
     calls = []
-    rfft2 = np.fft.rfft2
 
-    def recording(*args, out=None, **kwargs):
-        calls.append(out is not None)
-        return rfft2(*args, out=out, **kwargs)
+    def recording(fft_pass):
+        def call(*args, out=None, **kwargs):
+            calls.append(out is not None)
+            return fft_pass(*args, out=out, **kwargs)
+        return call
 
-    monkeypatch.setattr(np.fft, "rfft2", recording)
+    for name in ("rfft", "fft"):
+        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
     return calls
 
 
 def test_every_forward_transform_of_an_exact_run_gets_an_out(tmp_path, monkeypatch):
-    calls = _record_rfft2(monkeypatch)
+    calls = _record_forward_passes(monkeypatch)
     solutions._GRID_DATA.clear()
     config = parse_config("solution = theta3\nkappa = 0.01\nalpha = 0.4\ngrid = 32\n"
                           "t_end = 1\ndt = 0.01\nsnapshots = 0.5\nmode = exact\n"
@@ -147,7 +176,7 @@ def test_every_forward_transform_of_an_exact_run_gets_an_out(tmp_path, monkeypat
 
 
 def test_every_forward_transform_of_a_simulate_run_gets_an_out(monkeypatch):
-    calls = _record_rfft2(monkeypatch)
+    calls = _record_forward_passes(monkeypatch)
     initial = solutions.builtin_samples()["con-2"].initial_field(GridSpec(32, 32))
     simulate(initial, SolverParams(kappa=0.01, alpha=0.4, dt=0.01, t_end=0.05))
     assert calls and all(calls)
